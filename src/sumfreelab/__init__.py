@@ -64,6 +64,7 @@ from .scanner import (
     expected_counts,
     extract_sum_free_group,
     full_scan,
+    scan_windows,
     verify_report,
     weighted_inequality_sweep,
 )
@@ -112,6 +113,7 @@ __all__ = [
     "prime_case_check",
     "rhemtulla_street_bound",
     "row_hit_count",
+    "scan_windows",
     "subgroup_multiples",
     "tightness_instance",
     "verify_report",

@@ -18,10 +18,10 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Iterator
 
-from .groups import DivisorProfile, Element, GroupSequence, GroupSpec, window_middle_third
+from .groups import DivisorProfile, Element, GroupSequence, GroupSpec
 from .oracle import EXACT_SEARCH_LIMIT, max_sum_free
 from .primes import is_prime
-from .scanner import GroupExtraction, extract_sum_free_group, full_scan
+from .scanner import GroupExtraction, extract_sum_free_group, full_scan, scan_windows
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ def divisor_range_bound(profile: DivisorProfile, n: int, s: int) -> Fraction:
     the middle third) to the grand total, which is at least
     min_divisor * floor(window/max_divisor) * n^(s-1) regardless of d.
     """
-    w1 = window_middle_third(n)
+    w1, _ = scan_windows(n)
     a = profile.min_divisor
     b = profile.max_divisor
     num = a * profile.total * (w1.size // b) * n ** (s - 1)
@@ -282,7 +282,7 @@ def prime_case_check(
     if trials < 1:
         raise ValueError("at least one trial required")
     spec = GroupSpec(p, s)
-    w1 = window_middle_third(p)
+    w1, _ = scan_windows(p)
     ratio = Fraction(w1.size, p)
     rng = random.Random(seed)
     results: list[PrimeCaseTrial] = []

@@ -56,8 +56,8 @@ def load_group_sequence(text: str) -> GroupSequence:
     if not isinstance(n, int) or not isinstance(s, int):
         raise ValueError("n and s must be integers")
     elements = data["elements"]
-    if not isinstance(elements, list):
-        raise ValueError("elements must be a list")
+    if not isinstance(elements, list) or not all(isinstance(e, list) for e in elements):
+        raise ValueError("elements must be a list of coordinate lists")
     spec = GroupSpec(n, s)
     return GroupSequence(spec, tuple(tuple(e) for e in elements))
 

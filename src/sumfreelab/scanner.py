@@ -1,16 +1,19 @@
 """Exhaustive multiplier scans over Z_n^s, exact expectations, extraction.
 
 For every multiplier x the scan counts how many sequence entries b land
-in each of the two sum-free residue windows under x . b.  The kernel
-never materializes the multiplier tuples: dot products over the whole
-group are built one coordinate at a time as outer sums, so the work is
-O(n^s) cheap vector passes per sequence entry.  All counting is integer
-exact, and reports merge block results in a fixed order, so any worker
-count produces the identical report.
+in each sum-free residue window under x . b.  The windows come from
+`scan_windows(n)`, and report fields ending in _1 and _2 follow its
+order.  The kernel never materializes the multiplier tuples: dot
+products over the whole group are built one coordinate at a time as
+outer sums, so the work is O(n^s) cheap vector passes per sequence
+entry.  All counting is integer exact, and reports merge block results
+in a fixed order, so any worker count produces the identical report.
 """
 
 from __future__ import annotations
 
+import functools
+import os
 import random
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -34,27 +37,33 @@ from .oracle import is_sum_free
 DEFAULT_SCAN_CAP = 10**7
 
 
+@functools.lru_cache(maxsize=256)
+def scan_windows(n: int) -> tuple[Window, Window]:
+    """The windows every scan of Z_n^s counts, in report order.
+
+    Window 1 is the middle third, window 2 the sixth bands.  Windows are
+    frozen, so one proven instance per modulus is shared by all callers.
+    """
+    return window_middle_third(n), window_sixth_bands(n)
+
+
 def divisor_profile(seq: GroupSequence) -> DivisorProfile:
     """Multiplicity of each gcd class in the sequence."""
     counts = Counter(seq.spec.gcd_class(b) for b in seq)
     return DivisorProfile(tuple(sorted(counts.items())))
 
 
-def expected_counts(profile: DivisorProfile, n: int) -> tuple[Fraction, Fraction]:
+def expected_counts(profile: DivisorProfile, n: int) -> tuple[Fraction, ...]:
     """Mean hits per multiplier for each window, exactly.
 
     An entry of gcd class d spreads its n^s dot products uniformly over
     the subgroup of multiples of d, so it contributes
     (multiples of d in the window) / (n/d) to the mean.  Rank cancels.
     """
-    w1 = window_middle_third(n)
-    w2 = window_sixth_bands(n)
-    m1 = Fraction(0)
-    m2 = Fraction(0)
-    for d, mult in profile.pairs:
-        m1 += mult * Fraction(w1.count_multiples(d) * d, n)
-        m2 += mult * Fraction(w2.count_multiples(d) * d, n)
-    return m1, m2
+    return tuple(
+        Fraction(sum(mult * d * w.count_multiples(d) for d, mult in profile.pairs), n)
+        for w in scan_windows(n)
+    )
 
 
 @dataclass(frozen=True)
@@ -80,8 +89,7 @@ def weighted_inequality_sweep(max_n: int) -> list[InequalityRow]:
         raise ValueError("max_n must be at least 2")
     rows: list[InequalityRow] = []
     for n in range(2, max_n + 1):
-        w1 = window_middle_third(n)
-        w2 = window_sixth_bands(n)
+        w1, w2 = scan_windows(n)
         for d in range(1, n):
             if n % d != 0:
                 continue
@@ -132,21 +140,47 @@ class ScanReport:
     zero_column_count_2: int | None
 
 
+def _window_fields(report: ScanReport, j: int, *names: str) -> tuple:
+    """The report fields `name_j` of window j (1-based, scan_windows order)."""
+    return tuple(getattr(report, f"{name}_{j}") for name in names)
+
+
 @dataclass(frozen=True)
-class _BlockResult:
-    base: int
-    grand_1: int
-    grand_2: int
-    hist_1: np.ndarray
-    hist_2: np.ndarray
-    best_idx_1: int
-    best_count_1: int
-    best_idx_2: int
-    best_count_2: int
-    row_totals_1: np.ndarray
-    row_totals_2: np.ndarray
-    zero_count_1: int | None
-    zero_count_2: int | None
+class _Tally:
+    """One window's counts over a run of columns."""
+
+    grand: int
+    hist: np.ndarray
+    best_idx: int
+    best_count: int
+    row_totals: np.ndarray
+    zero_count: int | None
+
+
+def _tally(counts: np.ndarray, row_totals: np.ndarray, columns: Sequence[int]) -> _Tally:
+    """Summarize per-column counts; columns[i] is the group index of counts[i]."""
+    i = int(np.argmax(counts))
+    return _Tally(
+        grand=int(counts.sum(dtype=np.int64)),
+        hist=np.bincount(counts, minlength=len(row_totals) + 1),
+        best_idx=columns[i],
+        best_count=int(counts[i]),
+        row_totals=row_totals,
+        zero_count=int(counts[0]) if columns[0] == 0 else None,
+    )
+
+
+def _merge(tallies: Sequence[_Tally]) -> _Tally:
+    """Fold one window's block tallies; a tied best goes to the smallest index."""
+    best = min(tallies, key=lambda t: (-t.best_count, t.best_idx))
+    return _Tally(
+        grand=sum(t.grand for t in tallies),
+        hist=sum(t.hist for t in tallies),
+        best_idx=best.best_idx,
+        best_count=best.best_count,
+        row_totals=sum(t.row_totals for t in tallies),
+        zero_count=next(t.zero_count for t in tallies if t.zero_count is not None),
+    )
 
 
 def _coord_table(b_j: int, n: int) -> np.ndarray:
@@ -168,17 +202,13 @@ def _scan_block(
     elements: Sequence[Element],
     n: int,
     s: int,
-    lut1: np.ndarray,
-    lut2: np.ndarray,
-) -> _BlockResult:
+    luts: Sequence[np.ndarray],
+) -> list[_Tally]:
     m = len(elements)
     low_len = n ** (s - 1)
     block_len = (d1 - d0) * low_len
-    base = d0 * low_len
-    counts1 = np.zeros(block_len, dtype=np.int32)
-    counts2 = np.zeros(block_len, dtype=np.int32)
-    rt1 = np.zeros(m, dtype=np.int64)
-    rt2 = np.zeros(m, dtype=np.int64)
+    counts = [np.zeros(block_len, dtype=np.int32) for _ in luts]
+    row_totals = [np.zeros(m, dtype=np.int64) for _ in luts]
     digits = np.arange(d0, d1, dtype=np.int64)
     for ei, b in enumerate(elements):
         dv = (digits * b[0] % n).astype(np.int32)
@@ -188,31 +218,12 @@ def _scan_block(
             low = _outer_sum([_coord_table(c, n) for c in b[1:]], n)
             seg = np.add.outer(dv, low).reshape(-1)
             np.remainder(seg, n, out=seg)
-        h1 = lut1[seg]
-        h2 = lut2[seg]
-        counts1 += h1
-        counts2 += h2
-        rt1[ei] = int(h1.sum())
-        rt2[ei] = int(h2.sum())
-    i1 = int(np.argmax(counts1))
-    i2 = int(np.argmax(counts2))
-    zero1 = int(counts1[0]) if base == 0 else None
-    zero2 = int(counts2[0]) if base == 0 else None
-    return _BlockResult(
-        base=base,
-        grand_1=int(counts1.sum(dtype=np.int64)),
-        grand_2=int(counts2.sum(dtype=np.int64)),
-        hist_1=np.bincount(counts1, minlength=m + 1),
-        hist_2=np.bincount(counts2, minlength=m + 1),
-        best_idx_1=base + i1,
-        best_count_1=int(counts1[i1]),
-        best_idx_2=base + i2,
-        best_count_2=int(counts2[i2]),
-        row_totals_1=rt1,
-        row_totals_2=rt2,
-        zero_count_1=zero1,
-        zero_count_2=zero2,
-    )
+        for lut, c, rt in zip(luts, counts, row_totals):
+            h = lut[seg]
+            c += h
+            rt[ei] = int(h.sum())
+    columns = range(d0 * low_len, d1 * low_len)
+    return [_tally(c, rt, columns) for c, rt in zip(counts, row_totals)]
 
 
 def _blocks(n: int, workers: int) -> list[tuple[int, int]]:
@@ -221,14 +232,44 @@ def _blocks(n: int, workers: int) -> list[tuple[int, int]]:
     return [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
 
 
-def _merge_best(results: list[_BlockResult], which: int) -> tuple[int, int]:
-    best_count, best_idx = -1, -1
-    for r in results:
-        c = r.best_count_1 if which == 1 else r.best_count_2
-        i = r.best_idx_1 if which == 1 else r.best_idx_2
-        if c > best_count or (c == best_count and i < best_idx):
-            best_count, best_idx = c, i
-    return best_count, best_idx
+def _report(
+    seq: GroupSequence,
+    profile: DivisorProfile,
+    tallies: Sequence[_Tally],
+    *,
+    workers: int,
+    sample_size: int | None = None,
+    seed: int | None = None,
+) -> ScanReport:
+    """Fill a ScanReport from one tally per window, exhaustive or sampled."""
+    spec = seq.spec
+    size = spec.size
+    exhaustive = sample_size is None
+    fields = {}
+    for j, (expected, t) in enumerate(zip(expected_counts(profile, spec.n), tallies), start=1):
+        fields.update({
+            f"expected_count_{j}": expected,
+            f"grand_total_{j}": t.grand,
+            f"mean_full_{j}": Fraction(t.grand, size) if exhaustive else None,
+            f"mean_nonzero_{j}": Fraction(t.grand, size - 1) if exhaustive else None,
+            f"sample_mean_{j}": None if exhaustive else Fraction(t.grand, sample_size),
+            f"row_totals_{j}": tuple(int(v) for v in t.row_totals),
+            f"best_x_{j}": spec.coords_of(t.best_idx),
+            f"best_count_{j}": t.best_count,
+            f"histogram_{j}": tuple(int(v) for v in t.hist),
+            f"zero_column_count_{j}": t.zero_count,
+        })
+    return ScanReport(
+        n=spec.n,
+        s=spec.s,
+        m=len(seq),
+        exhaustive=exhaustive,
+        workers=workers,
+        sample_size=sample_size,
+        seed=seed,
+        profile=profile,
+        **fields,
+    )
 
 
 def full_scan(
@@ -239,21 +280,21 @@ def full_scan(
     sample: int | None = None,
     seed: int | None = None,
 ) -> ScanReport:
-    """Scan every multiplier (or a seeded sample) and report exact counts."""
-    m = len(seq)
-    if m == 0:
+    """Scan every multiplier (or a seeded sample) and report exact counts.
+
+    At most os.cpu_count() threads run, however many workers are asked
+    for; the report does not depend on how the columns are split.
+    """
+    if len(seq) == 0:
         raise ValueError("cannot scan an empty sequence")
     if workers < 1:
         raise ValueError("workers must be at least 1")
     spec = seq.spec
     n, s = spec.n, spec.s
-    w1 = window_middle_third(n)
-    w2 = window_sixth_bands(n)
     profile = divisor_profile(seq)
-    m1, m2 = expected_counts(profile, n)
 
     if sample is not None:
-        return _sampled_scan(seq, w1, w2, profile, m1, m2, sample, seed, workers)
+        return _sampled_scan(seq, profile, sample, seed, workers)
 
     if spec.size > cap:
         raise ValueError(
@@ -261,76 +302,23 @@ def full_scan(
             f"{cap}; pass sample= for a sampled scan"
         )
 
-    lut1 = w1.bitmap()
-    lut2 = w2.bitmap()
-    blocks = _blocks(n, workers)
-    if workers == 1:
-        results = [_scan_block(a, b, seq.elements, n, s, lut1, lut2) for a, b in blocks]
+    luts = [w.bitmap() for w in scan_windows(n)]
+    threads = min(workers, os.cpu_count() or 1)
+    blocks = _blocks(n, threads)
+    if threads == 1:
+        results = [_scan_block(a, b, seq.elements, n, s, luts) for a, b in blocks]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(
-                pool.map(
-                    lambda ab: _scan_block(ab[0], ab[1], seq.elements, n, s, lut1, lut2),
-                    blocks,
-                )
+                pool.map(lambda ab: _scan_block(ab[0], ab[1], seq.elements, n, s, luts), blocks)
             )
-
-    size = spec.size
-    grand1 = sum(r.grand_1 for r in results)
-    grand2 = sum(r.grand_2 for r in results)
-    hist1 = np.zeros(m + 1, dtype=np.int64)
-    hist2 = np.zeros(m + 1, dtype=np.int64)
-    rt1 = np.zeros(m, dtype=np.int64)
-    rt2 = np.zeros(m, dtype=np.int64)
-    for r in results:
-        hist1 += r.hist_1
-        hist2 += r.hist_2
-        rt1 += r.row_totals_1
-        rt2 += r.row_totals_2
-    best_count_1, best_idx_1 = _merge_best(results, 1)
-    best_count_2, best_idx_2 = _merge_best(results, 2)
-    zero1 = next(r.zero_count_1 for r in results if r.zero_count_1 is not None)
-    zero2 = next(r.zero_count_2 for r in results if r.zero_count_2 is not None)
-
-    return ScanReport(
-        n=n,
-        s=s,
-        m=m,
-        exhaustive=True,
-        workers=workers,
-        sample_size=None,
-        seed=None,
-        profile=profile,
-        expected_count_1=m1,
-        expected_count_2=m2,
-        grand_total_1=grand1,
-        grand_total_2=grand2,
-        mean_full_1=Fraction(grand1, size),
-        mean_full_2=Fraction(grand2, size),
-        mean_nonzero_1=Fraction(grand1, size - 1),
-        mean_nonzero_2=Fraction(grand2, size - 1),
-        sample_mean_1=None,
-        sample_mean_2=None,
-        row_totals_1=tuple(int(v) for v in rt1),
-        row_totals_2=tuple(int(v) for v in rt2),
-        best_x_1=spec.coords_of(best_idx_1),
-        best_count_1=best_count_1,
-        best_x_2=spec.coords_of(best_idx_2),
-        best_count_2=best_count_2,
-        histogram_1=tuple(int(v) for v in hist1),
-        histogram_2=tuple(int(v) for v in hist2),
-        zero_column_count_1=zero1,
-        zero_column_count_2=zero2,
-    )
+    tallies = [_merge(per_block) for per_block in zip(*results)]
+    return _report(seq, profile, tallies, workers=workers)
 
 
 def _sampled_scan(
     seq: GroupSequence,
-    w1: Window,
-    w2: Window,
     profile: DivisorProfile,
-    m1: Fraction,
-    m2: Fraction,
     sample: int,
     seed: int | None,
     workers: int,
@@ -340,99 +328,69 @@ def _sampled_scan(
     if sample < 1:
         raise ValueError("sample size must be positive")
     spec = seq.spec
-    n, s, m = spec.n, spec.s, len(seq)
-    size = spec.size
-    count = min(sample, size - 1)
+    m = len(seq)
+    count = min(sample, spec.size - 1)
     rng = random.Random(seed)
     # Distinct nonzero multipliers, ascending so first-max = smallest.
-    idxs = sorted(rng.sample(range(1, size), count))
+    idxs = sorted(rng.sample(range(1, spec.size), count))
     coords = np.array([spec.coords_of(i) for i in idxs], dtype=np.int64)
     bmat = np.array(seq.elements, dtype=np.int64)
-    lut1 = w1.bitmap()
-    lut2 = w2.bitmap()
-    counts1 = np.zeros(count, dtype=np.int64)
-    counts2 = np.zeros(count, dtype=np.int64)
-    rt1 = np.zeros(m, dtype=np.int64)
-    rt2 = np.zeros(m, dtype=np.int64)
+    luts = [w.bitmap() for w in scan_windows(spec.n)]
+    counts = [np.zeros(count, dtype=np.int64) for _ in luts]
+    row_totals = [np.zeros(m, dtype=np.int64) for _ in luts]
     chunk = max(1, 10_000_000 // m)
     for lo in range(0, count, chunk):
-        dots = coords[lo : lo + chunk] @ bmat.T % n
-        h1 = lut1[dots]
-        h2 = lut2[dots]
-        counts1[lo : lo + chunk] = h1.sum(axis=1, dtype=np.int64)
-        counts2[lo : lo + chunk] = h2.sum(axis=1, dtype=np.int64)
-        rt1 += h1.sum(axis=0, dtype=np.int64)
-        rt2 += h2.sum(axis=0, dtype=np.int64)
-    i1 = int(np.argmax(counts1))
-    i2 = int(np.argmax(counts2))
-    grand1 = int(counts1.sum())
-    grand2 = int(counts2.sum())
-    return ScanReport(
-        n=n,
-        s=s,
-        m=m,
-        exhaustive=False,
-        workers=workers,
-        sample_size=count,
-        seed=seed,
-        profile=profile,
-        expected_count_1=m1,
-        expected_count_2=m2,
-        grand_total_1=grand1,
-        grand_total_2=grand2,
-        mean_full_1=None,
-        mean_full_2=None,
-        mean_nonzero_1=None,
-        mean_nonzero_2=None,
-        sample_mean_1=Fraction(grand1, count),
-        sample_mean_2=Fraction(grand2, count),
-        row_totals_1=tuple(int(v) for v in rt1),
-        row_totals_2=tuple(int(v) for v in rt2),
-        best_x_1=spec.coords_of(idxs[i1]),
-        best_count_1=int(counts1[i1]),
-        best_x_2=spec.coords_of(idxs[i2]),
-        best_count_2=int(counts2[i2]),
-        histogram_1=tuple(int(v) for v in np.bincount(counts1, minlength=m + 1)),
-        histogram_2=tuple(int(v) for v in np.bincount(counts2, minlength=m + 1)),
-        zero_column_count_1=None,
-        zero_column_count_2=None,
-    )
+        dots = coords[lo : lo + chunk] @ bmat.T % spec.n
+        for lut, c, rt in zip(luts, counts, row_totals):
+            h = lut[dots]
+            c[lo : lo + chunk] = h.sum(axis=1, dtype=np.int64)
+            rt += h.sum(axis=0, dtype=np.int64)
+    tallies = [_tally(c, rt, idxs) for c, rt in zip(counts, row_totals)]
+    return _report(seq, profile, tallies, workers=workers, sample_size=count, seed=seed)
 
 
 def verify_report(report: ScanReport, seq: GroupSequence) -> list[str]:
     """Internal consistency checks; returns human-readable violations.
 
-    For exhaustive scans the row totals and the full-domain mean are
-    forced by the uniform-attainment structure, so any mismatch means a
-    broken kernel, not an interesting input.
+    Every report must agree with itself: per window, the grand total,
+    the row totals and the histogram count the same hits, and the
+    histogram covers every scanned column.  For exhaustive scans the row
+    totals and the full-domain mean are also forced by the
+    uniform-attainment structure, so any mismatch means a broken kernel,
+    not an interesting input.
     """
     problems: list[str] = []
     spec = seq.spec
     n, s = spec.n, spec.s
-    w1 = window_middle_third(n)
-    w2 = window_sixth_bands(n)
-    if report.exhaustive:
-        for i, b in enumerate(seq):
-            d = spec.gcd_class(b)
-            want1 = d * n ** (s - 1) * w1.count_multiples(d)
-            want2 = d * n ** (s - 1) * w2.count_multiples(d)
-            if report.row_totals_1[i] != want1:
-                problems.append(f"row {i}: window-1 total {report.row_totals_1[i]} != {want1}")
-            if report.row_totals_2[i] != want2:
-                problems.append(f"row {i}: window-2 total {report.row_totals_2[i]} != {want2}")
-        if report.mean_full_1 != report.expected_count_1:
-            problems.append("full-domain mean disagrees with the expected count (window 1)")
-        if report.mean_full_2 != report.expected_count_2:
-            problems.append("full-domain mean disagrees with the expected count (window 2)")
-        if report.zero_column_count_1 != 0 or report.zero_column_count_2 != 0:
-            problems.append("zero multiplier shows window hits")
-    for which, best, hist in (
-        (1, report.best_count_1, report.histogram_1),
-        (2, report.best_count_2, report.histogram_2),
-    ):
+    columns = spec.size if report.exhaustive else report.sample_size
+    for j, w in enumerate(scan_windows(n), start=1):
+        rows, hist, grand, best = _window_fields(
+            report, j, "row_totals", "histogram", "grand_total", "best_count"
+        )
+        if report.exhaustive:
+            for i, b in enumerate(seq):
+                d = spec.gcd_class(b)
+                want = d * n ** (s - 1) * w.count_multiples(d)
+                if rows[i] != want:
+                    problems.append(f"row {i}: window-{j} total {rows[i]} != {want}")
+            mean, expected, zero = _window_fields(
+                report, j, "mean_full", "expected_count", "zero_column_count"
+            )
+            if mean != expected:
+                problems.append(f"full-domain mean disagrees with the expected count (window {j})")
+            if zero != 0:
+                problems.append(f"zero multiplier shows {zero} window-{j} hits")
+        hist_hits = sum(c * v for c, v in enumerate(hist))
+        if not grand == sum(rows) == hist_hits:
+            problems.append(
+                f"window-{j} grand total {grand}, row-total sum {sum(rows)} and "
+                f"histogram hits {hist_hits} disagree"
+            )
+        if sum(hist) != columns:
+            problems.append(f"window-{j} histogram covers {sum(hist)} columns, not {columns}")
         top = max(i for i, v in enumerate(hist) if v) if any(hist) else 0
         if best != top:
-            problems.append(f"window-{which} best count {best} != histogram maximum {top}")
+            problems.append(f"window-{j} best count {best} != histogram maximum {top}")
     return problems
 
 
@@ -466,14 +424,11 @@ def extract_sum_free_group(
     if report is None:
         report = full_scan(seq, workers=workers, cap=cap, sample=sample, seed=seed)
     spec = seq.spec
-    if report.best_count_1 >= report.best_count_2:
-        which, x = 1, report.best_x_1
-        window = window_middle_third(spec.n)
-        expect = report.best_count_1
-    else:
-        which, x = 2, report.best_x_2
-        window = window_sixth_bands(spec.n)
-        expect = report.best_count_2
+    windows = scan_windows(spec.n)
+    # max keeps the first of equal counts, so ties go to window 1.
+    which = max(range(1, len(windows) + 1), key=lambda j: _window_fields(report, j, "best_count"))
+    x, expect = _window_fields(report, which, "best_x", "best_count")
+    window = windows[which - 1]
     indices = tuple(
         i for i, b in enumerate(seq) if window.contains(spec.dot(x, b))
     )

@@ -94,6 +94,10 @@ def test_scan_errors(tmp_path, capsys) -> None:
     assert main(["scan", str(tiny)]) == 2
     zero_el = write_group(tmp_path, "zero.json", 7, 1, [[0]])
     assert main(["scan", str(zero_el)]) == 2
+    bare = write_group(tmp_path, "bare.json", 7, 1, [3, 4])
+    assert main(["scan", str(bare)]) == 2
+    null = write_group(tmp_path, "null.json", 7, 1, [[3], None])
+    assert main(["scan", str(null)]) == 2
     capsys.readouterr()
 
 

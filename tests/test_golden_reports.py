@@ -1,0 +1,50 @@
+"""Report bytes pinned by sha256: refactors of the scan core must not move them.
+
+Each case is one CLI run on literal inputs.  The digests are of the
+canonical report written with -o, so any change to a count, a tie-break,
+a key or the formatting shows up here.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from sumfreelab.cli import main
+
+GROUPS = {
+    "z10x2": (10, 2, [[1, 2], [3, 4], [5, 0], [2, 6], [7, 7], [0, 5], [4, 8]]),
+    "z12": (12, 1, [[1], [2], [3], [4], [6], [8], [9], [10], [11]]),
+    "z30x2": (30, 2, [[1, 2], [3, 4], [5, 10], [6, 15], [7, 29], [12, 18]]),
+}
+
+CASES = {
+    "scan-w1": (["scan", "{z10x2}", "--workers", "1"],
+                "f0a0741f521ae49693aaaa39819e38eb6ef6fd92a86ef20a3ecd613c605226d3"),
+    "scan-w3": (["scan", "{z10x2}", "--workers", "3"],
+                "f0a0741f521ae49693aaaa39819e38eb6ef6fd92a86ef20a3ecd613c605226d3"),
+    "scan-sampled": (["scan", "{z30x2}", "--sample", "40", "--seed", "3"],
+                     "adfeea079c846fc0243884c10fc58a6e3b51d73a8611288304c755cb2db95853"),
+    "adjudicate": (["adjudicate", "{z12}"],
+                   "4ba35a7830d6cfc95a577c86459e74ca8b4d30dfbf9116492c558c78e250d310"),
+    "prime-case": (["prime-case", "--p", "11", "--s", "2", "--trials", "4", "--seed", "5"],
+                   "c4f0c6ea685b6d3f469afbec31307e19c625c9d86ddaf29117daaa0076524dbf"),
+    "search-exhaustive": (["search", "--n", "5", "--s", "1", "--m", "3",
+                           "--mode", "exhaustive"],
+                          "878b7de94b38a72220ba66969da14e3cb6b0903e3c1eeebd9d54be1df41d5a21"),
+    "search-random": (["search", "--n", "6", "--s", "2", "--m", "5", "--mode", "random",
+                       "--budget", "20", "--seed", "4"],
+                      "0907e1f86fd251458f996d94f903107ea7c1885ea6e675328bcc01ebfde9d3f4"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_report_bytes(case, tmp_path) -> None:
+    paths = {}
+    for name, (n, s, elements) in GROUPS.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps({"schema": 1, "n": n, "s": s, "elements": elements}))
+    argv, digest = CASES[case]
+    out = tmp_path / "report.json"
+    assert main([a.format(**paths) for a in argv] + ["-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -1,12 +1,17 @@
 """Multiplier scan kernel against full enumeration, plus exact stats."""
 
 import dataclasses
+import os
 import random
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import naive
+import sumfreelab.scanner as scanner
 from sumfreelab.groups import GroupSequence, GroupSpec
 from sumfreelab.jsonio import dumps, scan_report_to_dict
 from sumfreelab.scanner import (
@@ -97,12 +102,16 @@ def test_full_scan_matches_enumeration() -> None:
         assert report.best_x_1 == seq.spec.coords_of(counts1.index(max(counts1)))
         assert report.best_count_2 == max(counts2)
         assert report.best_x_2 == seq.spec.coords_of(counts2.index(max(counts2)))
-        hist1 = [0] * (m + 1)
-        for c in counts1:
-            hist1[c] += 1
-        assert report.histogram_1 == tuple(hist1)
-        assert report.mean_full_1 == Fraction(sum(counts1), size)
-        assert report.mean_nonzero_1 == Fraction(sum(counts1), size - 1)
+        for counts, hist, mean_full, mean_nonzero in (
+            (counts1, report.histogram_1, report.mean_full_1, report.mean_nonzero_1),
+            (counts2, report.histogram_2, report.mean_full_2, report.mean_nonzero_2),
+        ):
+            want = [0] * (m + 1)
+            for c in counts:
+                want[c] += 1
+            assert hist == tuple(want)
+            assert mean_full == Fraction(sum(counts), size)
+            assert mean_nonzero == Fraction(sum(counts), size - 1)
         assert report.zero_column_count_1 == counts1[0] == 0
         assert report.zero_column_count_2 == counts2[0] == 0
         assert verify_report(report, seq) == []
@@ -129,6 +138,21 @@ def test_worker_counts_identical() -> None:
         other = full_scan(seq, workers=workers)
         assert other == base
         assert dumps(scan_report_to_dict(other)) == dumps(scan_report_to_dict(base))
+
+
+def test_worker_count_clamped_to_cpus(monkeypatch) -> None:
+    seen = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            seen.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(scanner, "ThreadPoolExecutor", RecordingPool)
+    seq = GroupSequence(GroupSpec(7, 1), tuple((v,) for v in range(1, 7)))
+    report = full_scan(seq, workers=10**6)
+    assert all(w <= (os.cpu_count() or 1) for w in seen)
+    assert report == full_scan(seq, workers=1)
 
 
 def test_extraction_frozen() -> None:
@@ -191,6 +215,46 @@ def test_sampled_scan() -> None:
     assert everything.grand_total_1 == full.grand_total_1
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 9),
+    s=st.integers(1, 2),
+    m=st.integers(1, 6),
+    sample=st.integers(1, 90),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_sampled_scan_matches_recount(n, s, m, sample, seed, data) -> None:
+    spec = GroupSpec(n, s)
+    nonzero = st.tuples(*[st.integers(0, n - 1)] * s).filter(any)
+    seq = GroupSequence(spec, tuple(data.draw(st.lists(nonzero, min_size=m, max_size=m))))
+    report = full_scan(seq, sample=sample, seed=seed)
+    count = min(sample, spec.size - 1)
+    idxs = sorted(random.Random(seed).sample(range(1, spec.size), count))
+    windows = (naive.middle_third_members(n), naive.sixth_bands_members(n))
+    per_window = (
+        (report.row_totals_1, report.histogram_1, report.grand_total_1,
+         report.best_x_1, report.best_count_1),
+        (report.row_totals_2, report.histogram_2, report.grand_total_2,
+         report.best_x_2, report.best_count_2),
+    )
+    for members, (rows, hist, grand, best_x, best_count) in zip(windows, per_window):
+        hits = [
+            [sum(a * b for a, b in zip(spec.coords_of(i), el)) % n in members for el in seq]
+            for i in idxs
+        ]
+        counts = [sum(h) for h in hits]
+        want_hist = [0] * (m + 1)
+        for c in counts:
+            want_hist[c] += 1
+        assert rows == tuple(sum(h[k] for h in hits) for k in range(m))
+        assert hist == tuple(want_hist)
+        assert grand == sum(counts)
+        assert best_count == max(counts)
+        assert best_x == spec.coords_of(idxs[counts.index(max(counts))])
+    assert verify_report(report, seq) == []
+
+
 def test_scan_cap_refusal() -> None:
     spec = GroupSpec(4000, 2)  # 16 million elements
     seq = GroupSequence(spec, ((1, 2), (3, 4)))
@@ -219,3 +283,12 @@ def test_verify_report_catches_tampering() -> None:
     assert any("zero multiplier" in p for p in verify_report(bad, seq))
     bad = dataclasses.replace(r, best_count_1=5)
     assert any("histogram" in p for p in verify_report(bad, seq))
+    bad = dataclasses.replace(r, grand_total_2=r.grand_total_2 + 1)
+    assert any("grand total" in p for p in verify_report(bad, seq))
+
+    sampled = full_scan(seq, sample=4, seed=2)
+    assert verify_report(sampled, seq) == []
+    rows = list(sampled.row_totals_2)
+    rows[0] += 1
+    bad = dataclasses.replace(sampled, row_totals_2=tuple(rows))
+    assert any("grand total" in p for p in verify_report(bad, seq))
