@@ -60,6 +60,7 @@ from .scanner import (
     GroupExtraction,
     InequalityRow,
     ScanReport,
+    WindowStats,
     divisor_profile,
     expected_counts,
     extract_sum_free_group,
@@ -93,6 +94,7 @@ __all__ = [
     "TightnessReport",
     "Window",
     "WindowError",
+    "WindowStats",
     "adjudicate",
     "best_column",
     "choose_prime",

@@ -21,35 +21,24 @@ from typing import Iterator
 from .groups import DivisorProfile, Element, GroupSequence, GroupSpec
 from .oracle import EXACT_SEARCH_LIMIT, max_sum_free
 from .primes import is_prime
-from .scanner import GroupExtraction, extract_sum_free_group, full_scan, scan_windows
+from .scanner import GroupExtraction, ScanReport, extract_sum_free_group, full_scan, scan_windows
 
 
 @dataclass(frozen=True)
 class AdjudicationRecord:
-    """Both denominators, the divisor-range bound, and the verdict flags."""
+    """The scan it judges, the divisor-range bounds and the verdict flags.
+
+    Means, counts and histograms are read from `report`;
+    full_mean_matches_expected holds one flag per window of it.
+    """
 
     instance_id: str
-    n: int
-    s: int
-    m: int
-    profile: DivisorProfile
-    expected_count_1: Fraction
-    expected_count_2: Fraction
-    mean_full_1: Fraction
-    mean_full_2: Fraction
-    mean_nonzero_1: Fraction
-    mean_nonzero_2: Fraction
+    report: ScanReport
     divisor_range_bound: Fraction
     divisor_range_bound_limit: Fraction
-    max_count_1: int
-    max_count_2: int
-    histogram_1: tuple[int, ...]
-    histogram_2: tuple[int, ...]
     extraction: GroupExtraction
-    full_mean_matches_expected_1: bool
-    full_mean_matches_expected_2: bool
+    full_mean_matches_expected: tuple[bool, ...]
     some_column_beats_expected_1: bool
-    extraction_beats_two_sevenths: bool
 
 
 def divisor_range_bound(profile: DivisorProfile, n: int, s: int) -> Fraction:
@@ -59,7 +48,7 @@ def divisor_range_bound(profile: DivisorProfile, n: int, s: int) -> Fraction:
     the middle third) to the grand total, which is at least
     min_divisor * floor(window/max_divisor) * n^(s-1) regardless of d.
     """
-    w1, _ = scan_windows(n)
+    w1 = scan_windows(n)[0]
     a = profile.min_divisor
     b = profile.max_divisor
     num = a * profile.total * (w1.size // b) * n ** (s - 1)
@@ -79,33 +68,16 @@ def adjudicate(
 ) -> AdjudicationRecord:
     """Scan exhaustively and lay out both readings next to the facts."""
     report = full_scan(seq, workers=workers)
-    extraction = extract_sum_free_group(seq, report)
     profile = report.profile
-    assert report.mean_full_1 is not None and report.mean_nonzero_1 is not None
-    assert report.mean_full_2 is not None and report.mean_nonzero_2 is not None
+    first = report.windows[0]
     return AdjudicationRecord(
         instance_id=instance_id,
-        n=report.n,
-        s=report.s,
-        m=report.m,
-        profile=profile,
-        expected_count_1=report.expected_count_1,
-        expected_count_2=report.expected_count_2,
-        mean_full_1=report.mean_full_1,
-        mean_full_2=report.mean_full_2,
-        mean_nonzero_1=report.mean_nonzero_1,
-        mean_nonzero_2=report.mean_nonzero_2,
+        report=report,
         divisor_range_bound=divisor_range_bound(profile, report.n, report.s),
         divisor_range_bound_limit=divisor_range_bound_limit(profile),
-        max_count_1=report.best_count_1,
-        max_count_2=report.best_count_2,
-        histogram_1=report.histogram_1,
-        histogram_2=report.histogram_2,
-        extraction=extraction,
-        full_mean_matches_expected_1=report.mean_full_1 == report.expected_count_1,
-        full_mean_matches_expected_2=report.mean_full_2 == report.expected_count_2,
-        some_column_beats_expected_1=report.best_count_1 > report.expected_count_1,
-        extraction_beats_two_sevenths=extraction.beats_two_sevenths,
+        extraction=extract_sum_free_group(seq, report),
+        full_mean_matches_expected=tuple(w.mean_full == w.expected_count for w in report.windows),
+        some_column_beats_expected_1=first.best_count > first.expected_count,
     )
 
 
@@ -282,7 +254,7 @@ def prime_case_check(
     if trials < 1:
         raise ValueError("at least one trial required")
     spec = GroupSpec(p, s)
-    w1, _ = scan_windows(p)
+    w1 = scan_windows(p)[0]
     ratio = Fraction(w1.size, p)
     rng = random.Random(seed)
     results: list[PrimeCaseTrial] = []
@@ -300,7 +272,7 @@ def prime_case_check(
                 m=m,
                 extraction_size=extraction.size,
                 beats_two_sevenths=extraction.beats_two_sevenths,
-                nonzero_mean_matches_formula=report.mean_nonzero_1 == formula,
+                nonzero_mean_matches_formula=report.windows[0].mean_nonzero == formula,
             )
         )
     return PrimeCaseReport(

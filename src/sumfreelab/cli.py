@@ -88,11 +88,11 @@ def cmd_adjudicate(args: argparse.Namespace) -> int:
     instance_id = args.id if args.id is not None else Path(args.group).stem
     record = adjudicate(seq, instance_id, workers=args.workers)
     _emit(jsonio.dumps(jsonio.adjudication_to_dict(record)), args.output)
-    problems = []
-    if not record.full_mean_matches_expected_1:
-        problems.append("window-1 full mean broke its identity")
-    if not record.full_mean_matches_expected_2:
-        problems.append("window-2 full mean broke its identity")
+    problems = [
+        f"window-{j} full mean broke its identity"
+        for j, ok in enumerate(record.full_mean_matches_expected, start=1)
+        if not ok
+    ]
     if not record.extraction.verified_sum_free:
         problems.append("extracted subsequence failed the sum-free oracle")
     if problems:

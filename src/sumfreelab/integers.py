@@ -18,6 +18,7 @@ import numpy as np
 from .groups import Window, window_prime_target
 from .oracle import is_sum_free
 from .primes import is_prime, next_prime_2_mod_3
+from .scanner import DEFAULT_SCAN_CAP
 
 @dataclass(frozen=True)
 class PrimeChoice:
@@ -119,12 +120,14 @@ def _column_counts(residues: Sequence[int], k: int, p: int) -> np.ndarray:
     cols: list[np.ndarray] = []
     pending = 0
 
+    # Scatter-adds update in place: a bincount per flush would allocate and
+    # fault in a fresh h-sized array each time, the dominant cost at small m.
     def flush() -> None:
         if starts:
-            np.add(edges, np.bincount(np.concatenate(starts), minlength=h + 2), out=edges)
-            np.subtract(edges, np.bincount(np.concatenate(ends), minlength=h + 2), out=edges)
+            np.add.at(edges, np.concatenate(starts), 1)
+            np.subtract.at(edges, np.concatenate(ends), 1)
         if cols:
-            np.add(direct, np.bincount(np.concatenate(cols), minlength=h + 1), out=direct)
+            np.add.at(direct, np.concatenate(cols), 1)
         starts.clear()
         ends.clear()
         cols.clear()
@@ -137,14 +140,15 @@ def _column_counts(residues: Sequence[int], k: int, p: int) -> np.ndarray:
             ends.append(np.minimum((jp + (2 * k + 1)) // a + 1, h + 1))
             pending += 2 * jp.size
         else:
-            x = half_band * pow(a, -1, p) % p
-            cols.append(np.minimum(x, p - x))
+            x = half_band * pow(a, -1, p)
+            x %= p
+            cols.append(np.minimum(x, p - x, out=x))
             pending += x.size
         if pending >= _FLUSH_CELLS:
             flush()
             pending = 0
     flush()
-    counts = np.cumsum(edges[: h + 1])
+    counts = np.cumsum(edges[: h + 1], out=edges[: h + 1])
     counts += direct
     return counts
 
@@ -164,7 +168,8 @@ def best_column(
 
     With `sample`, only that many distinct random multipliers are
     examined (seed required); the result is then a lower bound, not
-    necessarily the true best column.
+    necessarily the true best column.  Without it every multiplier is
+    scanned, and p above DEFAULT_SCAN_CAP is refused.
     """
     _require_nonzero(values)
     p, k = choice.p, choice.k
@@ -185,6 +190,11 @@ def best_column(
         best = int(np.argmax(counts))  # first max: xs ascending, smallest x
         x = int(xs[best])
     else:
+        if p > DEFAULT_SCAN_CAP:
+            raise ValueError(
+                f"p = {p} is above the exhaustive scan cap {DEFAULT_SCAN_CAP}; "
+                "pass sample= (--sample on the command line) for a sampled scan"
+            )
         counts = _column_counts(residues, k, p)
         x = 1 + int(np.argmax(counts[1:]))  # first max: counts[x] == counts[p - x]
 

@@ -8,6 +8,7 @@ environment-dependent fields, so reruns are byte-identical.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from fractions import Fraction
 from typing import Any
 
@@ -19,7 +20,7 @@ from .adjudicate import (
 )
 from .extremal import TightnessReport
 from .groups import GroupSequence, GroupSpec
-from .scanner import GroupExtraction, InequalityRow, ScanReport
+from .scanner import GroupExtraction, InequalityRow, ScanReport, WindowStats
 
 SCHEMA = 1
 
@@ -73,6 +74,26 @@ def extraction_to_dict(e: GroupExtraction) -> dict:
     }
 
 
+#: Per-window keys as (JSON key stem, WindowStats field): window j's
+#: statistic goes under `<stem>_<j>`.  Scan reports write every field.
+_SCAN_WINDOW_KEYS = tuple((f.name, f.name) for f in fields(WindowStats))
+_ADJUDICATION_WINDOW_KEYS = (
+    ("expected_count", "expected_count"), ("mean_full", "mean_full"),
+    ("mean_nonzero", "mean_nonzero"), ("max_count", "best_count"), ("histogram", "histogram"),
+)
+
+
+def _window_keys(windows: tuple[WindowStats, ...], table: tuple[tuple[str, str], ...]) -> dict:
+    out = {}
+    for j, w in enumerate(windows, start=1):
+        for key, stat in table:
+            value = getattr(w, stat)
+            if isinstance(value, Fraction):
+                value = frac(value)
+            out[f"{key}_{j}"] = list(value) if isinstance(value, tuple) else value
+    return out
+
+
 def scan_report_to_dict(r: ScanReport, extraction: GroupExtraction | None = None) -> dict:
     out = {
         "schema": SCHEMA,
@@ -84,26 +105,7 @@ def scan_report_to_dict(r: ScanReport, extraction: GroupExtraction | None = None
         "sample_size": r.sample_size,
         "seed": r.seed,
         "divisor_profile": [list(p) for p in r.profile.pairs],
-        "expected_count_1": frac(r.expected_count_1),
-        "expected_count_2": frac(r.expected_count_2),
-        "grand_total_1": r.grand_total_1,
-        "grand_total_2": r.grand_total_2,
-        "mean_full_1": frac(r.mean_full_1),
-        "mean_full_2": frac(r.mean_full_2),
-        "mean_nonzero_1": frac(r.mean_nonzero_1),
-        "mean_nonzero_2": frac(r.mean_nonzero_2),
-        "sample_mean_1": frac(r.sample_mean_1),
-        "sample_mean_2": frac(r.sample_mean_2),
-        "row_totals_1": list(r.row_totals_1),
-        "row_totals_2": list(r.row_totals_2),
-        "best_x_1": list(r.best_x_1),
-        "best_count_1": r.best_count_1,
-        "best_x_2": list(r.best_x_2),
-        "best_count_2": r.best_count_2,
-        "histogram_1": list(r.histogram_1),
-        "histogram_2": list(r.histogram_2),
-        "zero_column_count_1": r.zero_column_count_1,
-        "zero_column_count_2": r.zero_column_count_2,
+        **_window_keys(r.windows, _SCAN_WINDOW_KEYS),
     }
     if extraction is not None:
         out["extraction"] = extraction_to_dict(extraction)
@@ -111,31 +113,23 @@ def scan_report_to_dict(r: ScanReport, extraction: GroupExtraction | None = None
 
 
 def adjudication_to_dict(rec: AdjudicationRecord) -> dict:
+    r = rec.report
     return {
         "schema": SCHEMA,
         "kind": "adjudication",
         "instance_id": rec.instance_id,
-        "n": rec.n,
-        "s": rec.s,
-        "m": rec.m,
-        "divisor_profile": [list(p) for p in rec.profile.pairs],
-        "expected_count_1": frac(rec.expected_count_1),
-        "expected_count_2": frac(rec.expected_count_2),
-        "mean_full_1": frac(rec.mean_full_1),
-        "mean_full_2": frac(rec.mean_full_2),
-        "mean_nonzero_1": frac(rec.mean_nonzero_1),
-        "mean_nonzero_2": frac(rec.mean_nonzero_2),
+        "n": r.n,
+        "s": r.s,
+        "m": r.m,
+        "divisor_profile": [list(p) for p in r.profile.pairs],
+        **_window_keys(r.windows, _ADJUDICATION_WINDOW_KEYS),
         "divisor_range_bound": frac(rec.divisor_range_bound),
         "divisor_range_bound_limit": frac(rec.divisor_range_bound_limit),
-        "max_count_1": rec.max_count_1,
-        "max_count_2": rec.max_count_2,
-        "histogram_1": list(rec.histogram_1),
-        "histogram_2": list(rec.histogram_2),
         "extraction": extraction_to_dict(rec.extraction),
-        "full_mean_matches_expected_1": rec.full_mean_matches_expected_1,
-        "full_mean_matches_expected_2": rec.full_mean_matches_expected_2,
+        **{f"full_mean_matches_expected_{j}": ok
+           for j, ok in enumerate(rec.full_mean_matches_expected, start=1)},
         "some_column_beats_expected_1": rec.some_column_beats_expected_1,
-        "extraction_beats_two_sevenths": rec.extraction_beats_two_sevenths,
+        "extraction_beats_two_sevenths": rec.extraction.beats_two_sevenths,
     }
 
 

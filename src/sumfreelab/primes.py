@@ -1,16 +1,23 @@
-"""Deterministic primality testing for 64-bit integers."""
+"""Deterministic primality testing below 3.3e24."""
 
 from __future__ import annotations
 
-# Witnesses proven sufficient for every n < 3_317_044_064_679_887_385_961_981
-# (Sorenson & Webster), which covers the full 64-bit range used here.
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first 13 primes as witnesses are proven sufficient for every n below
+# PROVEN_LIMIT, the least strong pseudoprime to all of them (Sorenson &
+# Webster, 2017).  The first 12 are not: 318665857834031151167461 fools them.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PROVEN_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for all 64-bit inputs."""
+    """Deterministic Miller-Rabin, exact for every n < PROVEN_LIMIT.
+
+    Larger n raise ValueError rather than get an unproven answer.
+    """
     if n < 2:
         return False
+    if n >= PROVEN_LIMIT:
+        raise ValueError(f"{n} is not below {PROVEN_LIMIT}, where primality is proven")
     for p in _WITNESSES:
         if n % p == 0:
             return n == p

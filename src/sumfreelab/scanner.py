@@ -2,7 +2,7 @@
 
 For every multiplier x the scan counts how many sequence entries b land
 in each sum-free residue window under x . b.  The windows come from
-`scan_windows(n)`, and report fields ending in _1 and _2 follow its
+`scan_windows(n)`, and a report's `windows` statistics follow its
 order.  The kernel never materializes the multiplier tuples: dot
 products over the whole group are built one coordinate at a time as
 outer sums, so the work is O(n^s) cheap vector passes per sequence
@@ -17,7 +17,7 @@ import os
 import random
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Sequence
 
@@ -38,7 +38,7 @@ DEFAULT_SCAN_CAP = 10**7
 
 
 @functools.lru_cache(maxsize=256)
-def scan_windows(n: int) -> tuple[Window, Window]:
+def scan_windows(n: int) -> tuple[Window, ...]:
     """The windows every scan of Z_n^s counts, in report order.
 
     Window 1 is the middle third, window 2 the sixth bands.  Windows are
@@ -89,7 +89,7 @@ def weighted_inequality_sweep(max_n: int) -> list[InequalityRow]:
         raise ValueError("max_n must be at least 2")
     rows: list[InequalityRow] = []
     for n in range(2, max_n + 1):
-        w1, w2 = scan_windows(n)
+        w1, w2 = scan_windows(n)[:2]
         for d in range(1, n):
             if n % d != 0:
                 continue
@@ -101,13 +101,38 @@ def weighted_inequality_sweep(max_n: int) -> list[InequalityRow]:
 
 
 @dataclass(frozen=True)
+class WindowStats:
+    """What one scan measured for one window.  Exact integers/rationals.
+
+    The full-domain means and the zero column are set by exhaustive
+    scans only, the sample mean by sampled scans only.
+    """
+
+    expected_count: Fraction
+    grand_total: int
+    mean_full: Fraction | None
+    mean_nonzero: Fraction | None
+    sample_mean: Fraction | None
+    row_totals: tuple[int, ...]
+    best_x: Element
+    best_count: int
+    histogram: tuple[int, ...]
+    zero_column_count: int | None
+
+
+_WINDOW_STATS = frozenset(f.name for f in fields(WindowStats))
+
+
+@dataclass(frozen=True)
 class ScanReport:
     """Everything one multiplier scan measured.  Exact integers/rationals.
 
     Exhaustive reports cover all n^s columns (the zero multiplier
     included; it never hits a window).  Sampled reports cover
-    sample_size distinct nonzero multipliers and leave the full-domain
-    means unset.
+    sample_size distinct nonzero multipliers.  `windows` holds one
+    WindowStats per window of scan_windows(n), in its order; window j's
+    statistics also read under their flat names `<stat>_<j>`, which are
+    the report's JSON keys.
     """
 
     n: int
@@ -118,31 +143,15 @@ class ScanReport:
     sample_size: int | None
     seed: int | None
     profile: DivisorProfile
-    expected_count_1: Fraction
-    expected_count_2: Fraction
-    grand_total_1: int
-    grand_total_2: int
-    mean_full_1: Fraction | None
-    mean_full_2: Fraction | None
-    mean_nonzero_1: Fraction | None
-    mean_nonzero_2: Fraction | None
-    sample_mean_1: Fraction | None
-    sample_mean_2: Fraction | None
-    row_totals_1: tuple[int, ...]
-    row_totals_2: tuple[int, ...]
-    best_x_1: Element
-    best_count_1: int
-    best_x_2: Element
-    best_count_2: int
-    histogram_1: tuple[int, ...]
-    histogram_2: tuple[int, ...]
-    zero_column_count_1: int | None
-    zero_column_count_2: int | None
+    windows: tuple[WindowStats, ...]
 
-
-def _window_fields(report: ScanReport, j: int, *names: str) -> tuple:
-    """The report fields `name_j` of window j (1-based, scan_windows order)."""
-    return tuple(getattr(report, f"{name}_{j}") for name in names)
+    def __getattr__(self, name: str):
+        stat, _, j = name.rpartition("_")
+        if stat in _WINDOW_STATS:
+            for i, w in enumerate(self.windows, start=1):
+                if j == str(i):
+                    return getattr(w, stat)
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -245,20 +254,21 @@ def _report(
     spec = seq.spec
     size = spec.size
     exhaustive = sample_size is None
-    fields = {}
-    for j, (expected, t) in enumerate(zip(expected_counts(profile, spec.n), tallies), start=1):
-        fields.update({
-            f"expected_count_{j}": expected,
-            f"grand_total_{j}": t.grand,
-            f"mean_full_{j}": Fraction(t.grand, size) if exhaustive else None,
-            f"mean_nonzero_{j}": Fraction(t.grand, size - 1) if exhaustive else None,
-            f"sample_mean_{j}": None if exhaustive else Fraction(t.grand, sample_size),
-            f"row_totals_{j}": tuple(int(v) for v in t.row_totals),
-            f"best_x_{j}": spec.coords_of(t.best_idx),
-            f"best_count_{j}": t.best_count,
-            f"histogram_{j}": tuple(int(v) for v in t.hist),
-            f"zero_column_count_{j}": t.zero_count,
-        })
+    windows = tuple(
+        WindowStats(
+            expected_count=expected,
+            grand_total=t.grand,
+            mean_full=Fraction(t.grand, size) if exhaustive else None,
+            mean_nonzero=Fraction(t.grand, size - 1) if exhaustive else None,
+            sample_mean=None if exhaustive else Fraction(t.grand, sample_size),
+            row_totals=tuple(int(v) for v in t.row_totals),
+            best_x=spec.coords_of(t.best_idx),
+            best_count=t.best_count,
+            histogram=tuple(int(v) for v in t.hist),
+            zero_column_count=t.zero_count,
+        )
+        for expected, t in zip(expected_counts(profile, spec.n), tallies)
+    )
     return ScanReport(
         n=spec.n,
         s=spec.s,
@@ -268,7 +278,7 @@ def _report(
         sample_size=sample_size,
         seed=seed,
         profile=profile,
-        **fields,
+        windows=windows,
     )
 
 
@@ -363,34 +373,32 @@ def verify_report(report: ScanReport, seq: GroupSequence) -> list[str]:
     spec = seq.spec
     n, s = spec.n, spec.s
     columns = spec.size if report.exhaustive else report.sample_size
-    for j, w in enumerate(scan_windows(n), start=1):
-        rows, hist, grand, best = _window_fields(
-            report, j, "row_totals", "histogram", "grand_total", "best_count"
-        )
+    windows = scan_windows(n)
+    if len(report.windows) != len(windows):
+        problems.append(f"report has {len(report.windows)} windows, not {len(windows)}")
+    for j, (w, stats) in enumerate(zip(windows, report.windows), start=1):
+        rows, hist = stats.row_totals, stats.histogram
         if report.exhaustive:
             for i, b in enumerate(seq):
                 d = spec.gcd_class(b)
                 want = d * n ** (s - 1) * w.count_multiples(d)
                 if rows[i] != want:
                     problems.append(f"row {i}: window-{j} total {rows[i]} != {want}")
-            mean, expected, zero = _window_fields(
-                report, j, "mean_full", "expected_count", "zero_column_count"
-            )
-            if mean != expected:
+            if stats.mean_full != stats.expected_count:
                 problems.append(f"full-domain mean disagrees with the expected count (window {j})")
-            if zero != 0:
-                problems.append(f"zero multiplier shows {zero} window-{j} hits")
+            if stats.zero_column_count != 0:
+                problems.append(f"zero multiplier shows {stats.zero_column_count} window-{j} hits")
         hist_hits = sum(c * v for c, v in enumerate(hist))
-        if not grand == sum(rows) == hist_hits:
+        if not stats.grand_total == sum(rows) == hist_hits:
             problems.append(
-                f"window-{j} grand total {grand}, row-total sum {sum(rows)} and "
+                f"window-{j} grand total {stats.grand_total}, row-total sum {sum(rows)} and "
                 f"histogram hits {hist_hits} disagree"
             )
         if sum(hist) != columns:
             problems.append(f"window-{j} histogram covers {sum(hist)} columns, not {columns}")
         top = max(i for i, v in enumerate(hist) if v) if any(hist) else 0
-        if best != top:
-            problems.append(f"window-{j} best count {best} != histogram maximum {top}")
+        if stats.best_count != top:
+            problems.append(f"window-{j} best count {stats.best_count} != histogram maximum {top}")
     return problems
 
 
@@ -415,7 +423,7 @@ def extract_sum_free_group(
     sample: int | None = None,
     seed: int | None = None,
 ) -> GroupExtraction:
-    """Pick the better of the two windows' best columns and pull back.
+    """Pick the best of the windows' best columns and pull back.
 
     Ties prefer the middle-third window.  The pulled-back subsequence is
     re-verified sum-free with the oracle, and the 7 * size > 2 * m flag
@@ -424,11 +432,10 @@ def extract_sum_free_group(
     if report is None:
         report = full_scan(seq, workers=workers, cap=cap, sample=sample, seed=seed)
     spec = seq.spec
-    windows = scan_windows(spec.n)
     # max keeps the first of equal counts, so ties go to window 1.
-    which = max(range(1, len(windows) + 1), key=lambda j: _window_fields(report, j, "best_count"))
-    x, expect = _window_fields(report, which, "best_x", "best_count")
-    window = windows[which - 1]
+    which = max(range(len(report.windows)), key=lambda j: report.windows[j].best_count)
+    x, expect = report.windows[which].best_x, report.windows[which].best_count
+    window = scan_windows(spec.n)[which]
     indices = tuple(
         i for i, b in enumerate(seq) if window.contains(spec.dot(x, b))
     )
@@ -440,7 +447,7 @@ def extract_sum_free_group(
     ok = is_sum_free(values, add=spec.add)
     return GroupExtraction(
         multiplier=x,
-        window_index=which,
+        window_index=which + 1,
         indices=indices,
         size=len(indices),
         verified_sum_free=ok,

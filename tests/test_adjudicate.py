@@ -30,30 +30,30 @@ def test_adjudicate_frozen_z7() -> None:
     seq = GroupSequence(GroupSpec(7, 1), tuple((v,) for v in range(1, 7)))
     rec = adjudicate(seq, "z7-nonzero")
     assert rec.instance_id == "z7-nonzero"
-    assert (rec.n, rec.s, rec.m) == (7, 1, 6)
-    assert rec.expected_count_1 == Fraction(12, 7)
-    assert rec.mean_full_1 == Fraction(12, 7)
-    assert rec.mean_nonzero_1 == Fraction(2)
+    assert (rec.report.n, rec.report.s, rec.report.m) == (7, 1, 6)
+    assert rec.report.expected_count_1 == Fraction(12, 7)
+    assert rec.report.mean_full_1 == Fraction(12, 7)
+    assert rec.report.mean_nonzero_1 == Fraction(2)
     assert rec.divisor_range_bound == Fraction(2)
     assert rec.divisor_range_bound_limit == Fraction(2)
-    assert rec.max_count_1 == 2
+    assert rec.report.best_count_1 == 2
     assert rec.extraction.size == 2
-    assert rec.full_mean_matches_expected_1
+    assert rec.full_mean_matches_expected[0]
     assert rec.some_column_beats_expected_1
-    assert rec.extraction_beats_two_sevenths
+    assert rec.extraction.beats_two_sevenths
 
 
 def test_adjudicate_frozen_z6_pair() -> None:
     seq = GroupSequence(GroupSpec(6, 1), ((2,), (4,)))
     rec = adjudicate(seq, "z6-pair")
-    assert rec.expected_count_1 == Fraction(2, 3)
-    assert rec.mean_full_1 == Fraction(2, 3)
-    assert rec.mean_nonzero_1 == Fraction(4, 5)
+    assert rec.report.expected_count_1 == Fraction(2, 3)
+    assert rec.report.mean_full_1 == Fraction(2, 3)
+    assert rec.report.mean_nonzero_1 == Fraction(4, 5)
     # alpha = beta = 2, window has 2 members, one a multiple of 2
     assert rec.divisor_range_bound == Fraction(4, 5)
     assert rec.divisor_range_bound_limit == Fraction(2, 3)
-    assert rec.max_count_1 == 1
-    assert rec.full_mean_matches_expected_1 and rec.some_column_beats_expected_1
+    assert rec.report.best_count_1 == 1
+    assert rec.full_mean_matches_expected[0] and rec.some_column_beats_expected_1
 
 
 def test_bound_chain_holds_everywhere() -> None:
@@ -69,9 +69,9 @@ def test_bound_chain_holds_everywhere() -> None:
         assert rec.divisor_range_bound_limit == Fraction(
             prof.min_divisor * m, 3 * prof.max_divisor)
         # the chain: bound <= nonzero mean < max column
-        assert rec.divisor_range_bound <= rec.mean_nonzero_1
-        assert rec.max_count_1 >= rec.mean_nonzero_1
-        assert rec.full_mean_matches_expected_1 and rec.full_mean_matches_expected_2
+        assert rec.divisor_range_bound <= rec.report.mean_nonzero_1
+        assert rec.report.best_count_1 >= rec.report.mean_nonzero_1
+        assert rec.full_mean_matches_expected[0] and rec.full_mean_matches_expected[1]
         assert rec.some_column_beats_expected_1
 
 
@@ -80,7 +80,7 @@ def test_flag_implication() -> None:
     for _ in range(40):
         seq = _random_sequence(rng, rng.randint(2, 10), rng.randint(1, 2), rng.randint(1, 8))
         rec = adjudicate(seq)
-        if rec.full_mean_matches_expected_1:
+        if rec.full_mean_matches_expected[0]:
             assert rec.some_column_beats_expected_1
 
 

@@ -6,6 +6,7 @@ import pytest
 
 import sumfreelab.cli as climod
 from sumfreelab.cli import main
+from sumfreelab.primes import PROVEN_LIMIT
 from sumfreelab.scanner import InequalityRow
 
 
@@ -50,6 +51,20 @@ def test_extract_integers_bad_inputs(tmp_path, capsys) -> None:
     zero.write_text("0\n")
     assert main(["extract-integers", str(zero)]) == 2
     assert main(["extract-integers", str(tmp_path / "missing.txt")]) == 2
+    capsys.readouterr()
+
+
+def test_extract_integers_refusals(tmp_path, capsys) -> None:
+    src = tmp_path / "huge.txt"
+    src.write_text(f"{10**13}\n")
+    assert main(["extract-integers", str(src)]) == 2  # exhaustive scan above the cap
+    err = capsys.readouterr().err
+    assert "--sample" in err and "Traceback" not in err
+    src.write_text(f"{2 * 10**24}\n")
+    assert main(["extract-integers", str(src), "--sample", "10", "--seed", "1"]) == 2
+    assert "proven" in capsys.readouterr().err
+    assert main(["prime-case", "--p", str(PROVEN_LIMIT), "--s", "1",
+                 "--trials", "1", "--seed", "1"]) == 2
     capsys.readouterr()
 
 

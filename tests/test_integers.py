@@ -181,6 +181,19 @@ def test_sampled_column_scan() -> None:
     assert (covered.x, covered.count) == (full.x, full.count)
 
 
+def test_exhaustive_scan_cap() -> None:
+    refused = choose_prime([5_000_000])
+    assert refused.p == 10_000_019
+    with mock.patch.object(integers, "_column_counts") as kernel:
+        with pytest.raises(ValueError, match="sample"):
+            best_column([5_000_000], refused)
+        kernel.assert_not_called()
+    assert best_column([5_000_000], refused, sample=10, seed=1).count >= 1
+    ex = extract_sum_free_subset([4_999_000])
+    assert ex.choice.p == 9_998_033
+    assert ex.verified and ex.size == 1
+
+
 def test_parse_integer_lines() -> None:
     lines = ["3", "", "# all of it ignored", "  -7  # trailing note", "12"]
     assert parse_integer_lines(lines) == [3, -7, 12]

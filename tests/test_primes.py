@@ -1,6 +1,8 @@
 """Primality helper checks."""
 
-from sumfreelab.primes import is_prime, next_prime_2_mod_3
+import pytest
+
+from sumfreelab.primes import PROVEN_LIMIT, is_prime, next_prime_2_mod_3
 
 
 def test_small_primes() -> None:
@@ -30,3 +32,16 @@ def test_next_prime_2_mod_3() -> None:
         # nothing smaller qualifies
         for q in range(lower + 1, p):
             assert q % 3 != 2 or not is_prime(q)
+
+
+def test_proven_range() -> None:
+    assert PROVEN_LIMIT == 3_317_044_064_679_887_385_961_981
+    # The least strong pseudoprime to the first twelve prime bases.
+    assert not is_prime(318665857834031151167461)
+    assert is_prime(PROVEN_LIMIT - 168)  # the largest prime below the limit
+    assert not is_prime(PROVEN_LIMIT - 2)
+    for n in (PROVEN_LIMIT, PROVEN_LIMIT + 2, 10**30):
+        with pytest.raises(ValueError):
+            is_prime(n)
+    with pytest.raises(ValueError):
+        next_prime_2_mod_3(PROVEN_LIMIT - 100)

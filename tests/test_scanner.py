@@ -272,23 +272,44 @@ def test_scan_input_validation() -> None:
         full_scan(GroupSequence(GroupSpec(5, 1), ()))
 
 
+def _tamper(report, j: int, **changes):
+    """The report with window j's statistics replaced (1-based)."""
+    windows = list(report.windows)
+    windows[j - 1] = dataclasses.replace(windows[j - 1], **changes)
+    return dataclasses.replace(report, windows=tuple(windows))
+
+
+def test_report_windows_and_flat_names() -> None:
+    seq = GroupSequence(GroupSpec(7, 1), tuple((v,) for v in range(1, 7)))
+    r = full_scan(seq)
+    assert len(r.windows) == len(scanner.scan_windows(7))
+    assert (r.best_x_2, r.histogram_1) == (r.windows[1].best_x, r.windows[0].histogram)
+    for name in ("best_x_0", "best_x_3", "best_x_01", "windows_1", "nonsense"):
+        assert not hasattr(r, name)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        r.best_x_1 = (2,)
+    short = dataclasses.replace(r, windows=r.windows[:1])
+    assert not hasattr(short, "best_x_2")
+    assert any("1 windows, not 2" in p for p in verify_report(short, seq))
+
+
 def test_verify_report_catches_tampering() -> None:
     seq = GroupSequence(GroupSpec(7, 1), tuple((v,) for v in range(1, 7)))
     r = full_scan(seq)
-    bad = dataclasses.replace(r, row_totals_1=tuple([99] * 6))
+    bad = _tamper(r, 1, row_totals=tuple([99] * 6))
     assert any("row 0" in p for p in verify_report(bad, seq))
-    bad = dataclasses.replace(r, mean_full_1=Fraction(1))
+    bad = _tamper(r, 1, mean_full=Fraction(1))
     assert any("expected count" in p for p in verify_report(bad, seq))
-    bad = dataclasses.replace(r, zero_column_count_1=3)
+    bad = _tamper(r, 1, zero_column_count=3)
     assert any("zero multiplier" in p for p in verify_report(bad, seq))
-    bad = dataclasses.replace(r, best_count_1=5)
+    bad = _tamper(r, 1, best_count=5)
     assert any("histogram" in p for p in verify_report(bad, seq))
-    bad = dataclasses.replace(r, grand_total_2=r.grand_total_2 + 1)
+    bad = _tamper(r, 2, grand_total=r.grand_total_2 + 1)
     assert any("grand total" in p for p in verify_report(bad, seq))
 
     sampled = full_scan(seq, sample=4, seed=2)
     assert verify_report(sampled, seq) == []
     rows = list(sampled.row_totals_2)
     rows[0] += 1
-    bad = dataclasses.replace(sampled, row_totals_2=tuple(rows))
+    bad = _tamper(sampled, 2, row_totals=tuple(rows))
     assert any("grand total" in p for p in verify_report(bad, seq))
