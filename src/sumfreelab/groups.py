@@ -173,9 +173,10 @@ class WindowError(ValueError):
 class Window:
     """A union of residue bands (lo, hi] modulo `modulus`, proven sum-free.
 
-    Construction walks every achievable pairwise sum (grouped by band
-    pair; the sums of two integer bands form one contiguous integer
-    range) and rejects the window if any sum lands back inside it.
+    Construction checks every pair of bands by interval arithmetic (the
+    sums of two integer bands form one contiguous integer range) and
+    rejects the window if any sum lands back inside it.  Nothing sized
+    by the modulus is built, so any modulus is cheap.
     """
 
     modulus: int
@@ -197,21 +198,34 @@ class Window:
         object.__setattr__(self, "bands", tuple(kept))
         self._check_sum_free()
 
-    def _inside(self, values: np.ndarray) -> np.ndarray:
+    def inside(self, values: np.ndarray) -> np.ndarray:
+        """Elementwise membership of residues already reduced mod modulus."""
         hit = np.zeros(values.shape, dtype=bool)
         for lo, hi in self.bands:
             hit |= (values > lo) & (values <= hi)
         return hit
 
+    def _first_member(self, start: int, stop: int) -> int | None:
+        """Smallest member in [start, stop], if any."""
+        for lo, hi in self.bands:  # sorted and disjoint, so the first overlap wins
+            first = max(start, lo + 1)
+            if first <= min(stop, hi):
+                return first
+        return None
+
     def _check_sum_free(self) -> None:
         # For bands (a1, b1] and (a2, b2] the achievable sums are exactly
-        # the integers in (a1 + a2 + 1, b1 + b2]; reduce mod modulus and
-        # demand that none of them is a member.  Covers every pair.
+        # the integers in [a1 + a2 + 2, b1 + b2], inside [2, 2n - 2]:
+        # those below n reduce to themselves, the rest to the sum minus n.
+        # The first bad sum is the smallest member of the lower piece, or
+        # failing that of the upper piece shifted down by n.
         n = self.modulus
         for (a1, b1), (a2, b2) in combinations_with_replacement(self.bands, 2):
-            sums = np.arange(a1 + a2 + 2, b1 + b2 + 1, dtype=np.int64) % n
-            if self._inside(sums).any():
-                bad = int(sums[self._inside(sums)][0])
+            lo, hi = a1 + a2 + 2, b1 + b2
+            bad = self._first_member(lo, min(hi, n - 1))
+            if bad is None:
+                bad = self._first_member(max(lo, n) - n, hi - n)
+            if bad is not None:
                 raise WindowError(
                     f"window mod {n} is not sum-free: sum {bad} of members "
                     f"from bands ({a1},{b1}] and ({a2},{b2}] is itself a member"

@@ -9,7 +9,6 @@ guarantees the winning column holds more than a third of the sequence.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -18,7 +17,7 @@ import numpy as np
 from .groups import Window, window_prime_target
 from .oracle import is_sum_free
 from .primes import is_prime, next_prime_2_mod_3
-from .scanner import DEFAULT_SCAN_CAP
+from .scanner import DEFAULT_SCAN_CAP, _sampled_tallies, dots_fit_int64
 
 @dataclass(frozen=True)
 class PrimeChoice:
@@ -158,6 +157,21 @@ def _hits_for(values: Sequence[int], choice: PrimeChoice, x: int) -> list[int]:
     return [i for i, b in enumerate(values) if k < x * (b % p) % p <= 2 * k + 1]
 
 
+def _digit_width(p: int) -> tuple[int, int]:
+    """Widest digit width t, with the digit count, that keeps the sampled
+    scan's int64 dot products sum_j digit_j(x) * (r * 2^(t*j) mod p) below
+    2^63 for every x and r in [1, p)."""
+    bits = (p - 1).bit_length()
+    for t in range(bits, 0, -1):
+        width = -(-bits // t)
+        if dots_fit_int64(width, 1 << t, p):
+            return t, width
+    raise ValueError(
+        f"p = {p} is too large for the sampled scan: even one-bit digits of x "
+        "times residues mod p can reach 2**63 (p must stay below about 1.59e17)"
+    )
+
+
 def best_column(
     values: Sequence[int],
     choice: PrimeChoice,
@@ -168,7 +182,9 @@ def best_column(
 
     With `sample`, only that many distinct random multipliers are
     examined (seed required); the result is then a lower bound, not
-    necessarily the true best column.  Without it every multiplier is
+    necessarily the true best column.  The sampled scan is exact for
+    every p it accepts, below about 1.59e17, and takes at most
+    DEFAULT_SCAN_CAP multipliers.  Without it every multiplier is
     scanned, and p above DEFAULT_SCAN_CAP is refused.
     """
     _require_nonzero(values)
@@ -178,17 +194,12 @@ def best_column(
         raise ValueError("some input vanishes mod p; prime too small")
 
     if sample is not None:
-        if seed is None:
-            raise ValueError("sampled column scan requires a seed")
-        if sample < 1:
-            raise ValueError("sample size must be positive")
-        rng = random.Random(seed)
-        xs = np.array(sorted(rng.sample(range(1, p), min(sample, p - 1))), dtype=np.int64)
-        rs = np.array(residues, dtype=np.int64)
-        vals = xs[:, None] * rs[None, :] % p
-        counts = ((vals > k) & (vals <= 2 * k + 1)).sum(axis=1)
-        best = int(np.argmax(counts))  # first max: xs ascending, smallest x
-        x = int(xs[best])
+        # x * r = sum_j digit_j(x) * (r * 2^(t*j)) mod p, over the base-2^t
+        # digits of x, most significant first: the group scan's dot product.
+        t, width = _digit_width(p)
+        rows = [[r * pow(2, t * j, p) % p for j in reversed(range(width))] for r in residues]
+        _, (tally,) = _sampled_tallies(p, sample, seed, 1 << t, rows, p, (choice.target_window(),))
+        x, count = tally.best_idx, tally.best_count
     else:
         if p > DEFAULT_SCAN_CAP:
             raise ValueError(
@@ -197,8 +208,11 @@ def best_column(
             )
         counts = _column_counts(residues, k, p)
         x = 1 + int(np.argmax(counts[1:]))  # first max: counts[x] == counts[p - x]
+        count = int(counts[x])
 
     hits = _hits_for(values, choice, x)
+    if len(hits) != count:
+        raise RuntimeError(f"recount found {len(hits)} hits for x = {x}, the scan promised {count}")
     return ColumnSelection(x, tuple(hits), len(hits))
 
 

@@ -8,6 +8,8 @@ products over the whole group are built one coordinate at a time as
 outer sums, so the work is O(n^s) cheap vector passes per sequence
 entry.  All counting is integer exact, and reports merge block results
 in a fixed order, so any worker count produces the identical report.
+Sampled scans, of groups and of integers alike, all run through one
+chunked kernel, `_sampled_tallies`.
 """
 
 from __future__ import annotations
@@ -326,6 +328,71 @@ def full_scan(
     return _report(seq, profile, tallies, workers=workers)
 
 
+#: Cells (sampled multiplier x sequence entry) per chunk of the sampled
+#: kernel, so its scratch memory stays bounded whatever the sample size.
+_SAMPLED_CHUNK_CELLS = 1 << 18
+
+
+def dots_fit_int64(width: int, base: int, n: int) -> bool:
+    """Whether every dot product of `width` base-`base` digits with
+    residues mod n stays below 2^63, the sampled kernel's int64 range."""
+    return width * (base - 1) * (n - 1) < 2**63
+
+
+def _sampled_tallies(
+    size: int,
+    sample: int,
+    seed: int | None,
+    base: int,
+    rows: Sequence[Sequence[int]],
+    n: int,
+    windows: Sequence[Window],
+) -> tuple[int, list[_Tally]]:
+    """The one sampled scan: exact window counts over min(sample, size - 1)
+    seeded distinct multipliers in 1..size-1, ascending, so a tied best
+    goes to the smallest.  A multiplier's coordinates are the base-`base`
+    digits of its index, most significant first, one per row entry; its
+    value on a row is their dot product mod n.  Returns the number of
+    multipliers scanned and one tally per window.  Samples above
+    DEFAULT_SCAN_CAP, and dot products that could reach 2^63, are refused
+    before anything is drawn.
+    """
+    if seed is None:
+        raise ValueError("sampled scans require a seed")
+    if sample < 1:
+        raise ValueError("sample size must be positive")
+    count = min(sample, size - 1)
+    if count > DEFAULT_SCAN_CAP:
+        raise ValueError(
+            f"a sample of {count} multipliers is above the sampled scan cap {DEFAULT_SCAN_CAP}"
+        )
+    width = len(rows[0])
+    if size > 2**63 or not dots_fit_int64(width, base, n):
+        raise ValueError(
+            f"multipliers below {size} as {width} base-{base} digits times residues mod {n} "
+            "can reach 2**63; the sampled scan needs exact int64 indices and dot products"
+        )
+    idxs = sorted(random.Random(seed).sample(range(1, size), count))
+    multipliers = np.array(idxs, dtype=np.int64)
+    rmat = np.array(rows, dtype=np.int64).T
+    m = rmat.shape[1]
+    counts = [np.empty(count, dtype=np.int64) for _ in windows]
+    row_totals = [np.zeros(m, dtype=np.int64) for _ in windows]
+    chunk = max(1, _SAMPLED_CHUNK_CELLS // (m + width))
+    for lo in range(0, count, chunk):
+        q = multipliers[lo : lo + chunk]
+        coords = np.empty((q.size, width), dtype=np.int64)
+        for j in reversed(range(width)):
+            q, coords[:, j] = np.divmod(q, base)
+        dots = coords @ rmat
+        dots %= n
+        for w, c, rt in zip(windows, counts, row_totals):
+            hit = w.inside(dots)
+            c[lo : lo + chunk] = hit.sum(axis=1)
+            rt += hit.sum(axis=0)
+    return count, [_tally(c, rt, idxs) for c, rt in zip(counts, row_totals)]
+
+
 def _sampled_scan(
     seq: GroupSequence,
     profile: DivisorProfile,
@@ -333,29 +400,11 @@ def _sampled_scan(
     seed: int | None,
     workers: int,
 ) -> ScanReport:
-    if seed is None:
-        raise ValueError("sampled scans require a seed")
-    if sample < 1:
-        raise ValueError("sample size must be positive")
+    # A multiplier's coordinates are the base-n digits of its index.
     spec = seq.spec
-    m = len(seq)
-    count = min(sample, spec.size - 1)
-    rng = random.Random(seed)
-    # Distinct nonzero multipliers, ascending so first-max = smallest.
-    idxs = sorted(rng.sample(range(1, spec.size), count))
-    coords = np.array([spec.coords_of(i) for i in idxs], dtype=np.int64)
-    bmat = np.array(seq.elements, dtype=np.int64)
-    luts = [w.bitmap() for w in scan_windows(spec.n)]
-    counts = [np.zeros(count, dtype=np.int64) for _ in luts]
-    row_totals = [np.zeros(m, dtype=np.int64) for _ in luts]
-    chunk = max(1, 10_000_000 // m)
-    for lo in range(0, count, chunk):
-        dots = coords[lo : lo + chunk] @ bmat.T % spec.n
-        for lut, c, rt in zip(luts, counts, row_totals):
-            h = lut[dots]
-            c[lo : lo + chunk] = h.sum(axis=1, dtype=np.int64)
-            rt += h.sum(axis=0, dtype=np.int64)
-    tallies = [_tally(c, rt, idxs) for c, rt in zip(counts, row_totals)]
+    count, tallies = _sampled_tallies(
+        spec.size, sample, seed, spec.n, seq.elements, spec.n, scan_windows(spec.n)
+    )
     return _report(seq, profile, tallies, workers=workers, sample_size=count, seed=seed)
 
 

@@ -114,3 +114,8 @@ def best_column_brute(values: list[int], p: int, k: int):
         if len(hits) > best_count:
             best_x, best_count, best_hits = x, len(hits), hits
     return best_x, best_count, best_hits
+
+
+def sampled_counts_brute(values: list[int], p: int, k: int, xs) -> list[int]:
+    """Band hits of each multiplier in xs, input by input, in Python ints."""
+    return [sum(1 for b in values if k < x * (b % p) % p <= 2 * k + 1) for x in xs]

@@ -63,6 +63,14 @@ def test_extract_integers_refusals(tmp_path, capsys) -> None:
     src.write_text(f"{2 * 10**24}\n")
     assert main(["extract-integers", str(src), "--sample", "10", "--seed", "1"]) == 2
     assert "proven" in capsys.readouterr().err
+    for b in (10**18, 10**19):  # int64 dot products could overflow: no sampled scan
+        src.write_text(f"{b}\n")
+        assert main(["extract-integers", str(src), "--sample", "10", "--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "2**63" in err and "Traceback" not in err
+    src.write_text(f"{10**15}\n")
+    assert main(["extract-integers", str(src), "--sample", "20000000", "--seed", "1"]) == 2
+    assert "sampled scan cap" in capsys.readouterr().err
     assert main(["prime-case", "--p", str(PROVEN_LIMIT), "--s", "1",
                  "--trials", "1", "--seed", "1"]) == 2
     capsys.readouterr()

@@ -29,6 +29,9 @@ INTEGERS = {
     "ints_wide": [_wide.choice([-1, 1]) * _wide.randint(1, 10**5) for _ in range(600)],
     # seven multipliers in 1..(p-1)/2 share the best count; the smallest must win
     "ints_ties": list(range(1, 11)),
+    # sampled: p = 2469135803 < 3.04e9, digest recorded before the kernels merged
+    "ints_sampled": [1_234_567_891, -987_654_321, 3, 77, -1_000_000_007, 555_555_555, 42,
+                     -31_415_926, 271_828_182, 9_999],
 }
 
 CASES = {
@@ -54,6 +57,9 @@ CASES = {
                               "06a74558b209a6614520f736ab150ffa0db35723ef2a12a821e1763c3f17b127"),
     "extract-integers-ties": (["extract-integers", "{ints_ties}"],
                               "193247e7850e74f281b6939f6f74ee640d6bfc71c554e52f5814d0cc89fcce02"),
+    "extract-integers-sampled": (["extract-integers", "{ints_sampled}", "--sample", "3000",
+                                  "--seed", "11"],
+                                 "822f1972e4b7754876703683c4a2bcadd1bb55b2cc768b1923d78c21435891a1"),
 }
 
 

@@ -6,6 +6,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import naive
 from sumfreelab.groups import (
@@ -153,6 +155,11 @@ def test_non_sum_free_window_rejected() -> None:
         Window(12, ((3, 8),))  # 4 + 4 = 8 stays inside
     # a legitimate non-family window still constructs
     assert Window(9, ((2, 5),)).members() == (3, 4, 5)
+    # the message names the first bad sum and its band pair
+    with pytest.raises(WindowError, match=r"sum 7 of members from bands \(6,9\] and \(6,9\] "):
+        Window(10, ((6, 9),))  # 8 + 9 = 17 wraps to 7
+    with pytest.raises(WindowError, match=r"sum 18 of members from bands \(1,2\] and \(15,18\] "):
+        Window(20, ((1, 2), (15, 18)))  # 2 + 16 = 18
 
 
 def test_window_band_validation() -> None:
@@ -201,3 +208,29 @@ def test_dot_uniform_over_subgroup() -> None:
             got = Counter(spec.dot(x, b) for x in product(range(n), repeat=s))
             want = {v: d * n ** (s - 1) for v in range(0, n, d)}
             assert got == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_window_constructs_exactly_when_sum_free(data) -> None:
+    n = data.draw(st.integers(2, 60), label="n")
+    cuts = data.draw(st.lists(st.integers(0, n - 1), max_size=8, unique=True), label="cuts")
+    cuts.sort()
+    bands = tuple(zip(cuts[::2], cuts[1::2]))
+    members = {v for lo, hi in bands for v in range(lo + 1, hi + 1)}
+    try:
+        w = Window(n, bands)
+    except WindowError:
+        assert not naive.sum_free(members, add=lambda a, b: (a + b) % n)
+    else:
+        assert set(w.members()) == members
+        assert naive.sum_free(members, add=lambda a, b: (a + b) % n)
+
+
+def test_window_at_integer_scale_modulus() -> None:
+    # Construction is interval arithmetic over band pairs: nothing sized by
+    # the modulus is built, so the prime-field window of any p is cheap.
+    k = 10**15
+    w = window_prime_target(k)
+    assert w.modulus == 3 * k + 2 and w.size == k + 1
+    assert w.inside(np.array([k, k + 1, 2 * k + 1, 2 * k + 2])).tolist() == [False, True, True, False]

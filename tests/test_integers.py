@@ -1,5 +1,6 @@
 """Integer pipeline: prime choice, column scan, extraction."""
 
+import dataclasses
 import random
 from unittest import mock
 
@@ -18,6 +19,7 @@ from sumfreelab.integers import (
     row_hit_count,
 )
 from sumfreelab.primes import next_prime_2_mod_3
+from sumfreelab.scanner import DEFAULT_SCAN_CAP
 
 
 def test_choose_prime_frozen() -> None:
@@ -179,6 +181,71 @@ def test_sampled_column_scan() -> None:
     full = best_column(vals, c)
     covered = best_column(vals, c, sample=c.p, seed=7)
     assert (covered.x, covered.count) == (full.x, full.count)
+
+
+def _sampled_xs(p: int, sample: int, seed: int) -> list[int]:
+    return sorted(random.Random(seed).sample(range(1, p), min(sample, p - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sampled_column_scan_matches_brute(data) -> None:
+    # Digit widths run from one 31-bit digit down to 58 one-bit digits
+    # just below the refusal limit; every count is checked in Python ints.
+    top = data.draw(st.sampled_from([2**31, 2**40, 2**52, 79 * 10**15]), label="max |b|")
+    mags = data.draw(st.lists(st.integers(1, top), max_size=7), label="mags")
+    signs = data.draw(st.lists(st.sampled_from([1, -1]), min_size=len(mags) + 1,
+                               max_size=len(mags) + 1))
+    vals = [s * b for s, b in zip(signs, [top] + mags)]
+    sample = data.draw(st.integers(1, 300), label="sample")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    c = choose_prime(vals)
+    got = best_column(vals, c, sample=sample, seed=seed)
+    xs = _sampled_xs(c.p, sample, seed)
+    counts = naive.sampled_counts_brute(vals, c.p, c.k, xs)
+    assert (got.x, got.count) == (xs[counts.index(max(counts))], max(counts))
+
+
+def test_sampled_scan_beyond_int64_products() -> None:
+    # x * b overflows int64 here (p^2 > 2^63); one column holds all six.
+    vals = [10**12 + 39, 3 * 10**11 + 7, 5, 77, 10**12 - 11, 123456789012]
+    ex = extract_sum_free_subset(vals, sample=2000, seed=1)
+    assert ex.size == 6 and ex.verified
+    assert naive.sampled_counts_brute(vals, ex.choice.p, ex.choice.k, [ex.column.x]) == [6]
+
+
+def test_sampled_scan_refusals() -> None:
+    # Just below the limit the scan runs on 58 one-bit digits; above it,
+    # and above the sample cap, it refuses before drawing anything.
+    vals = [79 * 10**15, -3, 10**16 + 1]
+    ok = choose_prime(vals)
+    counts = naive.sampled_counts_brute(vals, ok.p, ok.k, _sampled_xs(ok.p, 50, 1))
+    assert best_column(vals, ok, sample=50, seed=1).count == max(counts)
+    with mock.patch("random.Random") as draw:
+        for b in (8 * 10**16, 10**18, 10**19):
+            with pytest.raises(ValueError, match="2\\*\\*63"):
+                best_column([b], choose_prime([b]), sample=5, seed=1)
+        with pytest.raises(ValueError, match="sampled scan cap"):
+            best_column([10**9], choose_prime([10**9]), sample=DEFAULT_SCAN_CAP + 1, seed=1)
+        draw.assert_not_called()
+
+
+def test_recount_guard(monkeypatch) -> None:
+    vals = [17, -4, 23, 5, 9, -11, 2]
+    c = choose_prime(vals)
+    kernel = integers._sampled_tallies
+
+    def off_by_one(*args):
+        count, (tally,) = kernel(*args)
+        return count, (dataclasses.replace(tally, best_count=tally.best_count + 1),)
+
+    monkeypatch.setattr(integers, "_sampled_tallies", off_by_one)
+    with pytest.raises(RuntimeError, match="recount"):
+        best_column(vals, c, sample=8, seed=42)
+    column_counts = integers._column_counts
+    monkeypatch.setattr(integers, "_column_counts", lambda *a: column_counts(*a) + 1)
+    with pytest.raises(RuntimeError, match="recount"):
+        best_column(vals, c)
 
 
 def test_exhaustive_scan_cap() -> None:

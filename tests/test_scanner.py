@@ -5,6 +5,7 @@ import os
 import random
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -262,6 +263,23 @@ def test_scan_cap_refusal() -> None:
         full_scan(seq)
     sampled = full_scan(seq, sample=30, seed=3)
     assert not sampled.exhaustive and sampled.sample_size == 30
+
+
+def test_sampled_scan_refusals() -> None:
+    # Too many multipliers, or dot products that could leave int64 (a
+    # library GroupSpec with a raised cap), are refused before any draw.
+    seq = GroupSequence(GroupSpec(4000, 2), ((1, 2), (3, 4)))
+    wide = GroupSequence(GroupSpec(2**32, 1, cap=2**40), ((1,), (2**32 - 1,)))
+    deep = GroupSequence(GroupSpec(2, 64, cap=2**70), ((1,) * 64,))
+    with mock.patch("random.Random") as draw:
+        with pytest.raises(ValueError, match="sampled scan cap"):
+            full_scan(seq, sample=scanner.DEFAULT_SCAN_CAP + 1, seed=1)
+        for big in (wide, deep):
+            with pytest.raises(ValueError, match="2\\*\\*63"):
+                full_scan(big, sample=10, seed=1)
+        draw.assert_not_called()
+    fits = GroupSequence(GroupSpec(2**31, 1, cap=2**40), ((1,), (2**31 - 1,)))
+    assert verify_report(full_scan(fits, sample=10, seed=1), fits) == []
 
 
 def test_scan_input_validation() -> None:
