@@ -12,6 +12,8 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 #: Hard ceiling on exact-search input length.
 EXACT_SEARCH_LIMIT = 24
 
@@ -37,6 +39,28 @@ class SumFreeWitness:
             raise ValueError("witness indices must be strictly increasing")
 
 
+#: Integers below this magnitude have every pairwise sum inside int64.
+_INT64_SAFE = 1 << 62
+#: Side of the square tiles of pairwise sums tested at a time (2^18 cells).
+_SUM_TILE = 1 << 9
+
+
+def _ints_sum_free(vs: set[int]) -> bool:
+    """`is_sum_free` for plain integers of magnitude below 2^62, in numpy:
+    each tile a[i:i+T] + a[j:j+T], j >= i, of the sorted values is looked
+    up with a binary search, so scratch memory stays at one tile."""
+    a = np.array(sorted(vs), dtype=np.int64)
+    last = a.size - 1
+    for i in range(0, a.size, _SUM_TILE):
+        rows = a[i : i + _SUM_TILE, None]
+        for j in range(i, a.size, _SUM_TILE):
+            sums = (rows + a[j : j + _SUM_TILE]).ravel()
+            found = np.minimum(np.searchsorted(a, sums), last)
+            if (a[found] == sums).any():
+                return False
+    return True
+
+
 def is_sum_free(values, add: AddFn = operator.add) -> bool:
     """True when no a1 + a2 with a1, a2 in values (a1 = a2 allowed) is in values.
 
@@ -44,6 +68,8 @@ def is_sum_free(values, add: AddFn = operator.add) -> bool:
     integer addition.  Note a set containing 0 is never sum-free.
     """
     vs = set(values)
+    if add is operator.add and all(type(v) is int and -_INT64_SAFE < v < _INT64_SAFE for v in vs):
+        return _ints_sum_free(vs)
     for a in vs:
         for b in vs:
             if add(a, b) in vs:

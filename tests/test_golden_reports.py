@@ -20,6 +20,7 @@ GROUPS = {
 }
 
 _wide = random.Random(2000)
+_large = random.Random(3000)
 
 INTEGERS = {
     # criterion-01 shape: m <= 24, |b| <= 1e6, mixed signs, a duplicate and a +-b pair
@@ -27,6 +28,8 @@ INTEGERS = {
                  -48815, 2, 907, -64, 180001, 33, -5, 1000000],
     # wide: m = 600, |b| <= 1e5
     "ints_wide": [_wide.choice([-1, 1]) * _wide.randint(1, 10**5) for _ in range(600)],
+    # large m = 3000, |b| <= 1e5: the FFT kernel's side of the dispatch
+    "ints_large": [_large.choice([-1, 1]) * _large.randint(1, 10**5) for _ in range(3000)],
     # seven multipliers in 1..(p-1)/2 share the best count; the smallest must win
     "ints_ties": list(range(1, 11)),
     # sampled: p = 2469135803 < 3.04e9, digest recorded before the kernels merged
@@ -55,6 +58,8 @@ CASES = {
                              "a676385dabeccc3785f551df6f28ceeb7120373c157b3b83f5136bcdfa049c0a"),
     "extract-integers-wide": (["extract-integers", "{ints_wide}"],
                               "06a74558b209a6614520f736ab150ffa0db35723ef2a12a821e1763c3f17b127"),
+    "extract-integers-large": (["extract-integers", "{ints_large}"],
+                               "f91a742da1d2830c02da2dc179e3b811de5a23885477b9caa29994230ba6a684"),
     "extract-integers-ties": (["extract-integers", "{ints_ties}"],
                               "193247e7850e74f281b6939f6f74ee640d6bfc71c554e52f5814d0cc89fcce02"),
     "extract-integers-sampled": (["extract-integers", "{ints_sampled}", "--sample", "3000",

@@ -4,6 +4,7 @@ import dataclasses
 import random
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +19,7 @@ from sumfreelab.integers import (
     parse_integer_lines,
     row_hit_count,
 )
-from sumfreelab.primes import next_prime_2_mod_3
+from sumfreelab.primes import is_prime, next_prime_2_mod_3
 from sumfreelab.scanner import DEFAULT_SCAN_CAP
 
 
@@ -114,6 +115,89 @@ def test_best_column_fallback_kernel_agrees(data) -> None:
         got = best_column(vals, c)
     assert counts.tolist() == want[: (p - 1) // 2 + 1]
     assert (got.x, got.count, got.hits) == naive.best_column_brute(vals, p, k)
+
+
+_PRIMES = [p for p in range(5, 2000, 3) if is_prime(p)]  # every p = 2 mod 3 below 2000
+# p - 1 = 2q with q prime: p - 1 has the largest prime factor it can have.
+_SAFE_PRIMES = [p for p in _PRIMES if is_prime((p - 1) // 2)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_column_kernels_match_brute(data) -> None:
+    # Each kernel forced in turn, on residues with m from 1, duplicates and
+    # +-b pairs; the FFT kernel must not fall back to the interval kernel.
+    p = data.draw(st.sampled_from(_SAFE_PRIMES) | st.sampled_from(_PRIMES), label="p")
+    k = (p - 2) // 3
+    vals = data.draw(st.lists(st.integers(1, p - 1), min_size=1, max_size=8), label="residues")
+    repeats = data.draw(st.lists(st.tuples(st.integers(0, len(vals) - 1), st.booleans()),
+                                 max_size=4), label="repeats")
+    vals += [p - vals[i] if negate else vals[i] for i, negate in repeats]
+    fft = data.draw(st.booleans(), label="fft")
+
+    want = naive.column_counts_brute(vals, p, k)[: (p - 1) // 2 + 1]
+    if fft:
+        with mock.patch.object(integers, "_column_counts", side_effect=AssertionError("fell back")):
+            counts = integers._column_counts_fft(vals, k, p)
+    else:
+        counts = integers._column_counts(vals, k, p)
+    assert counts.tolist() == want
+    with mock.patch.object(integers, "_fft_pays", return_value=fft):
+        got = best_column(vals, PrimeChoice(p, k, 0))
+    assert (got.x, got.count, got.hits) == naive.best_column_brute(vals, p, k)
+
+
+def _fft_sized_input() -> tuple[list[int], PrimeChoice]:
+    rng = random.Random(17)
+    vals = [rng.choice([-1, 1]) * rng.randint(1, 1000) for _ in range(400)]
+    c = choose_prime(vals)
+    assert integers._fft_pays([b % c.p for b in vals], c.p)
+    return vals, c
+
+
+def test_fft_fallbacks_give_interval_selection() -> None:
+    vals, c = _fft_sized_input()
+    with mock.patch.object(integers, "_fft_pays", return_value=False):
+        want = best_column(vals, c)
+    irfft = np.fft.irfft
+    for failure in (
+        mock.patch.object(integers, "_fft_error_bound", return_value=0.25),
+        mock.patch.object(np.fft, "irfft", lambda *a: irfft(*a) + 0.15),  # counts 0.3 off
+    ):
+        interval = mock.Mock(wraps=integers._column_counts)
+        with failure, mock.patch.object(integers, "_column_counts", interval):
+            assert best_column(vals, c) == want
+        interval.assert_called_once()
+
+
+def test_fft_sum_check() -> None:
+    vals, c = _fft_sized_input()
+    irfft = np.fft.irfft
+
+    def off_by_one(*args):
+        corr = irfft(*args)
+        corr[0] += 1
+        return corr
+
+    with mock.patch.object(np.fft, "irfft", off_by_one):
+        with pytest.raises(RuntimeError, match=r"m\*\(k\+1\)"):
+            best_column(vals, c)
+
+
+def test_dispatch_keeps_criterion_01_on_interval_kernel() -> None:
+    # Criterion 01 has m <= 24 and |b| <= 1e6.  The interval kernel's cells
+    # grow with each distinct a = min(r, p - r) <= (p - 1)/2, so the 24
+    # largest a are the costliest rows any such input can have, for every
+    # prime the criterion can reach.
+    top = next_prime_2_mod_3(2 * 10**6)
+    sieve = bytearray([1]) * (top + 1)
+    for q in range(2, int(top**0.5) + 1):
+        if sieve[q]:
+            sieve[q * q :: q] = bytes(len(range(q * q, top + 1, q)))
+    for p in range(5, top + 1, 3):
+        if sieve[p]:
+            h = (p - 1) // 2
+            assert not integers._fft_pays(list(range(h, max(0, h - 24), -1)), p), p
 
 
 def test_column_totals_identity() -> None:

@@ -1,10 +1,14 @@
 """Sum-free checks and the exact maximum search against brute force."""
 
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import naive
+import sumfreelab.oracle as oracle
 from sumfreelab.groups import GroupSpec
 from sumfreelab.oracle import (
     EXACT_SEARCH_LIMIT,
@@ -35,6 +39,37 @@ def test_is_sum_free_matches_naive() -> None:
         m = rng.randint(0, 7)
         vals = [rng.randint(-6, 6) for _ in range(m)]
         assert is_sum_free(set(vals)) == naive.sum_free(set(vals))
+
+
+# Integers at the int64 edge of the numpy path, just beyond it, and
+# pairs whose sum is one of them.
+_EDGES = [0, 1, -1, 2**61 - 1, 2**62 - 2, 2**62 - 1, -(2**62 - 1), 2**62, -(2**62), 2**63, -(2**64 + 1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.one_of(st.integers(-12, 12), st.sampled_from(_EDGES),
+                       st.integers(-(2**64), 2**64)), max_size=12),
+    st.sampled_from([1, 2, 3, oracle._SUM_TILE]),
+)
+def test_is_sum_free_matches_naive_at_int64_edges(values, tile) -> None:
+    # Small tiles make every tile boundary of the numpy path occur.
+    with mock.patch.object(oracle, "_SUM_TILE", tile):
+        assert is_sum_free(values) == naive.sum_free(set(values))
+
+
+def test_is_sum_free_integer_routing() -> None:
+    odd = set(range(1, 2002, 2))  # odd + odd is even: sum-free, over several tiles
+    with mock.patch.object(oracle, "_ints_sum_free", wraps=oracle._ints_sum_free) as fast:
+        assert is_sum_free(odd)
+        assert not is_sum_free(odd | {2000})  # 1 + 1999, in different tiles
+        assert not is_sum_free({2**62 - 1, -(2**62 - 1), 0})
+        assert fast.call_count == 3
+        assert not is_sum_free({2**62, 2**63})  # beyond int64 sums: Python loop
+        assert is_sum_free({2**62, 1})
+        assert not is_sum_free({True, 2})  # bools are not plain ints: Python loop
+        assert not is_sum_free([(2,), (3,), (4,)], add=GroupSpec(7, 1).add)
+        assert fast.call_count == 3
 
 
 def test_max_sum_free_frozen() -> None:
