@@ -222,7 +222,8 @@ def _column_counts_fft(residues: Sequence[int], k: int, p: int) -> np.ndarray:
     [1, h] is f(l) = min(g^l, p - g^l), and a row sits at the l with
     f(l) = min(r, p - r).  Duplicate and +-b rows become one weighted entry.
     The correlation runs through numpy's real FFT at a 2*3*5-smooth length
-    L >= 2h, so the wrapped part of the linear correlation is exact.
+    L >= 2h, so nothing aliases: the count at l is corr[l] + corr[L - h + l],
+    the terms with l + j < h plus those that wrap past h.
 
     Exactness: the float counts are rounded, and the interval/column kernel
     computes the counts instead when `_fft_error_bound` reaches 1/4 or any
@@ -248,6 +249,7 @@ def _column_counts_fft(residues: Sequence[int], k: int, p: int) -> np.ndarray:
         fold[n : n + step] = fold[:step].astype(np.int64) * pow(g, n, p) % p
         n += step
     np.minimum(fold, p - fold, out=fold)
+    # Each buffer is dropped once used: the peak near DEFAULT_SCAN_CAP stays under 300 MiB.
     hist = weight[fold].astype(np.float64)
     del weight
     spectrum = fft.rfft((fold > k).astype(np.float64), length)
@@ -326,7 +328,9 @@ def best_column(
     necessarily the true best column.  The sampled scan is exact for
     every p it accepts, below about 1.59e17, and takes at most
     DEFAULT_SCAN_CAP multipliers.  Without it every multiplier is
-    scanned, and p above DEFAULT_SCAN_CAP is refused.
+    scanned, by `_column_counts_fft` when `_fft_pays` estimates it the
+    cheaper kernel and by `_column_counts` otherwise, and p above
+    DEFAULT_SCAN_CAP is refused.
     """
     _require_nonzero(values)
     p, k = choice.p, choice.k
