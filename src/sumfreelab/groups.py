@@ -165,6 +165,17 @@ def subgroup_multiples(d: int, n: int) -> frozenset[int]:
     return frozenset(range(0, n, d))
 
 
+def _join_touching(bands: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Sorted disjoint bands with each run of touching bands made one."""
+    out: list[tuple[int, int]] = []
+    for lo, hi in bands:
+        if out and out[-1][1] == lo:
+            out[-1] = (out[-1][0], hi)
+        else:
+            out.append((lo, hi))
+    return out
+
+
 class WindowError(ValueError):
     """Raised when a residue band union fails its sum-freeness check."""
 
@@ -240,6 +251,17 @@ class Window:
         for lo, hi in self.bands:
             out.extend(range(lo + 1, hi + 1))
         return tuple(out)
+
+    @property
+    def negation_closed(self) -> bool:
+        """Whether -t is a member whenever t is, by interval arithmetic.
+
+        Band (lo, hi] mirrors to (n-1-hi, n-1-lo]; the mirrored bands must
+        cover the same residues, so touching bands are joined first.
+        """
+        n = self.modulus
+        mirrored = sorted((n - 1 - hi, n - 1 - lo) for lo, hi in self.bands)
+        return _join_touching(mirrored) == _join_touching(self.bands)
 
     def contains(self, value: int) -> bool:
         v = value % self.modulus

@@ -3,13 +3,22 @@
 For every multiplier x the scan counts how many sequence entries b land
 in each sum-free residue window under x . b.  The windows come from
 `scan_windows(n)`, and a report's `windows` statistics follow its
-order.  The kernel never materializes the multiplier tuples: dot
-products over the whole group are built one coordinate at a time as
-outer sums, so the work is O(n^s) cheap vector passes per sequence
-entry.  All counting is integer exact, and reports merge block results
-in a fixed order, so any worker count produces the identical report.
-Sampled scans, of groups and of integers alike, all run through one
-chunked kernel, `_sampled_tallies`.
+order.
+
+The exhaustive kernel, `_scan_block`, splits the multiplier columns
+into blocks by first digit.  When every window is negation-closed
+(whenever 3 does not divide n), column -x counts what x counts, so only
+first digits 0 to n/2 are scanned and the digits between count twice.
+Within a block it never materializes the multiplier tuples.  For a
+chunk of sequence entries it builds the dot products one coordinate at
+a time as broadcast sums of per-coordinate terms, each reduced mod n.
+The sum is left unreduced: it stays below s*n, so it indexes a window
+table tiled s times, in the narrowest unsigned dtype that holds
+s*(n-1).  Counts are kept in the narrowest dtype that holds m, and a
+chunk's scratch is at most _CHUNK_CELLS cells.  All counting is integer
+exact, and reports merge block results in a fixed order, so any worker
+count produces the identical report.  Sampled scans, of groups and of
+integers alike, all run through one chunked kernel, `_sampled_tallies`.
 """
 
 from __future__ import annotations
@@ -168,15 +177,27 @@ class _Tally:
     zero_count: int | None
 
 
-def _tally(counts: np.ndarray, row_totals: np.ndarray, columns: Sequence[int]) -> _Tally:
-    """Summarize per-column counts; columns[i] is the group index of counts[i]."""
+#: Cells per chunk of either kernel (sequence entry x column, or sampled
+#: multiplier x sequence entry), so scratch memory stays bounded whatever
+#: the group, sequence or sample size.
+_CHUNK_CELLS = 1 << 18
+
+
+def _tally(
+    counts: np.ndarray, row_totals: np.ndarray, columns: Sequence[int], weight: int = 1
+) -> _Tally:
+    """Summarize per-column counts; columns[i] is the group index of counts[i].
+
+    Each column stands for `weight` columns of equal counts, all of
+    larger index, so the best index is unchanged.
+    """
     i = int(np.argmax(counts))
     return _Tally(
-        grand=int(counts.sum(dtype=np.int64)),
-        hist=np.bincount(counts, minlength=len(row_totals) + 1),
+        grand=weight * int(counts.sum(dtype=np.int64)),
+        hist=weight * np.bincount(counts, minlength=len(row_totals) + 1),
         best_idx=columns[i],
         best_count=int(counts[i]),
-        row_totals=row_totals,
+        row_totals=weight * row_totals,
         zero_count=int(counts[0]) if columns[0] == 0 else None,
     )
 
@@ -194,53 +215,66 @@ def _merge(tallies: Sequence[_Tally]) -> _Tally:
     )
 
 
-def _coord_table(b_j: int, n: int) -> np.ndarray:
-    return (np.arange(n, dtype=np.int64) * b_j % n).astype(np.int32)
+def _column_blocks(n: int, s: int, windows: Sequence[Window]) -> list[tuple[int, int, int]]:
+    """First-digit blocks (d0, d1, weight) that together stand for every column.
 
-
-def _outer_sum(tables: list[np.ndarray], n: int) -> np.ndarray:
-    """Dot-product contributions of several coordinates, lexicographic order."""
-    f = tables[0]
-    for t in tables[1:]:
-        f = np.add.outer(f, t).reshape(-1)
-        np.remainder(f, n, out=f)
-    return f
+    When every window is negation-closed, column -x counts what x counts.
+    Then only first digits 0, 1..ceil(n/2)-1 and, for even n, n/2 are
+    scanned.  A digit d in the middle range has weight 2: it stands for
+    itself and for n - d > d, whose columns are the negations of its own.
+    Digits 0 and n/2 are their own negations, so they keep weight 1.
+    Blocks are at most _CHUNK_CELLS columns, or one digit.
+    """
+    if all(w.negation_closed for w in windows):
+        half = (n + 1) // 2
+        ranges = [(0, 1, 1), (1, half, 2), (half, n // 2 + 1, 1)]
+    else:
+        ranges = [(0, n, 1)]
+    step = max(1, _CHUNK_CELLS // n ** (s - 1))
+    return [(d, min(d + step, hi), w) for lo, hi, w in ranges for d in range(lo, hi, step)]
 
 
 def _scan_block(
-    d0: int,
-    d1: int,
-    elements: Sequence[Element],
+    block: tuple[int, int, int],
+    rows: np.ndarray,
     n: int,
-    s: int,
-    luts: Sequence[np.ndarray],
+    tables: Sequence[np.ndarray],
+    index_dtype: np.dtype,
+    count_dtype: np.dtype,
 ) -> list[_Tally]:
-    m = len(elements)
-    low_len = n ** (s - 1)
-    block_len = (d1 - d0) * low_len
-    counts = [np.zeros(block_len, dtype=np.int32) for _ in luts]
-    row_totals = [np.zeros(m, dtype=np.int64) for _ in luts]
+    """Exact tallies, per window, of block (d0, d1, weight): the columns
+    whose first digit is in [d0, d1), each standing for `weight` columns.
+
+    rows is the m x s sequence.  A chunk of entries at a time, the dot
+    products are built one coordinate at a time as broadcast sums of
+    per-coordinate terms, each already reduced mod n, so a dot product is
+    left unreduced below s*n and indexes a window table tiled s times.
+    """
+    d0, d1, weight = block
+    m, s = rows.shape
+    low = n ** (s - 1)
+    width = (d1 - d0) * low
+    counts = [np.zeros(width, dtype=count_dtype) for _ in tables]
+    row_totals = [np.empty(m, dtype=np.int64) for _ in tables]
+    row_dtype = np.min_scalar_type(width)
     digits = np.arange(d0, d1, dtype=np.int64)
-    for ei, b in enumerate(elements):
-        dv = (digits * b[0] % n).astype(np.int32)
-        if s == 1:
-            seg = dv
-        else:
-            low = _outer_sum([_coord_table(c, n) for c in b[1:]], n)
-            seg = np.add.outer(dv, low).reshape(-1)
-            np.remainder(seg, n, out=seg)
-        for lut, c, rt in zip(luts, counts, row_totals):
-            h = lut[seg]
-            c += h
-            rt[ei] = int(h.sum())
-    columns = range(d0 * low_len, d1 * low_len)
-    return [_tally(c, rt, columns) for c, rt in zip(counts, row_totals)]
-
-
-def _blocks(n: int, workers: int) -> list[tuple[int, int]]:
-    nblocks = min(n, max(2, 2 * workers))
-    bounds = [round(i * n / nblocks) for i in range(nblocks + 1)]
-    return [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
+    residues = np.arange(n if s > 1 else 0, dtype=np.int64)
+    chunk = max(1, _CHUNK_CELLS // width)
+    for lo in range(0, m, chunk):
+        b = rows[lo : lo + chunk]
+        # Prepend coordinates last to first, so each broadcast sum runs
+        # its inner loop over the long table built so far.
+        dots = np.zeros((len(b), 1), dtype=index_dtype)
+        for j in reversed(range(s)):
+            term = (np.multiply.outer(b[:, j], residues if j else digits) % n).astype(index_dtype)
+            dots = np.add(term[:, :, None], dots[:, None, :], dtype=index_dtype)
+            dots = dots.reshape(len(b), -1)
+        for table, c, rt in zip(tables, counts, row_totals):
+            hit = np.take(table, dots)
+            c += hit.sum(axis=0, dtype=count_dtype)
+            rt[lo : lo + chunk] = hit.sum(axis=1, dtype=row_dtype)
+    columns = range(d0 * low, d1 * low)
+    return [_tally(c, rt, columns, weight) for c, rt in zip(counts, row_totals)]
 
 
 def _report(
@@ -263,10 +297,10 @@ def _report(
             mean_full=Fraction(t.grand, size) if exhaustive else None,
             mean_nonzero=Fraction(t.grand, size - 1) if exhaustive else None,
             sample_mean=None if exhaustive else Fraction(t.grand, sample_size),
-            row_totals=tuple(int(v) for v in t.row_totals),
+            row_totals=tuple(t.row_totals.tolist()),
             best_x=spec.coords_of(t.best_idx),
             best_count=t.best_count,
-            histogram=tuple(int(v) for v in t.hist),
+            histogram=tuple(t.hist.tolist()),
             zero_column_count=t.zero_count,
         )
         for expected, t in zip(expected_counts(profile, spec.n), tallies)
@@ -314,23 +348,24 @@ def full_scan(
             f"{cap}; pass sample= for a sampled scan"
         )
 
-    luts = [w.bitmap() for w in scan_windows(n)]
-    threads = min(workers, os.cpu_count() or 1)
-    blocks = _blocks(n, threads)
+    windows = scan_windows(n)
+    tables = [np.tile(w.bitmap(), s) for w in windows]
+    index_dtype = np.min_scalar_type(s * (n - 1))
+    count_dtype = np.min_scalar_type(len(seq))
+    rows = np.array(seq.elements, dtype=np.int64)
+
+    def scan(block: tuple[int, int, int]) -> list[_Tally]:
+        return _scan_block(block, rows, n, tables, index_dtype, count_dtype)
+
+    blocks = _column_blocks(n, s, windows)
+    threads = min(workers, os.cpu_count() or 1, len(blocks))
     if threads == 1:
-        results = [_scan_block(a, b, seq.elements, n, s, luts) for a, b in blocks]
+        results = [scan(block) for block in blocks]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(lambda ab: _scan_block(ab[0], ab[1], seq.elements, n, s, luts), blocks)
-            )
+            results = list(pool.map(scan, blocks))
     tallies = [_merge(per_block) for per_block in zip(*results)]
     return _report(seq, profile, tallies, workers=workers)
-
-
-#: Cells (sampled multiplier x sequence entry) per chunk of the sampled
-#: kernel, so its scratch memory stays bounded whatever the sample size.
-_SAMPLED_CHUNK_CELLS = 1 << 18
 
 
 def dots_fit_int64(width: int, base: int, n: int) -> bool:
@@ -378,7 +413,7 @@ def _sampled_tallies(
     m = rmat.shape[1]
     counts = [np.empty(count, dtype=np.int64) for _ in windows]
     row_totals = [np.zeros(m, dtype=np.int64) for _ in windows]
-    chunk = max(1, _SAMPLED_CHUNK_CELLS // (m + width))
+    chunk = max(1, _CHUNK_CELLS // (m + width))
     for lo in range(0, count, chunk):
         q = multipliers[lo : lo + chunk]
         coords = np.empty((q.size, width), dtype=np.int64)

@@ -13,10 +13,28 @@ import pytest
 
 from sumfreelab.cli import main
 
+
+def _seeded_group(seed: int, n: int, s: int, m: int) -> tuple[int, int, list[list[int]]]:
+    """m seeded nonzero elements of Z_n^s."""
+    rng = random.Random(seed)
+    elements: list[list[int]] = []
+    while len(elements) < m:
+        el = [rng.randrange(n) for _ in range(s)]
+        if any(el):
+            elements.append(el)
+    return n, s, elements
+
+
 GROUPS = {
     "z10x2": (10, 2, [[1, 2], [3, 4], [5, 0], [2, 6], [7, 7], [0, 5], [4, 8]]),
     "z12": (12, 1, [[1], [2], [3], [4], [6], [8], [9], [10], [11]]),
     "z30x2": (30, 2, [[1, 2], [3, 4], [5, 10], [6, 15], [7, 29], [12, 18]]),
+    # negation-folded (3 does not divide 11), m = 300 needs counts wider than uint8
+    "z11x4": _seeded_group(114, 11, 4, 300),
+    # 3 | 9: the middle third is not negation-closed, so no fold; rank 3
+    "z9x3": _seeded_group(93, 9, 3, 40),
+    # s * (n - 1) = 298 > 255: dot products need an index wider than uint8
+    "z150x2": _seeded_group(1502, 150, 2, 12),
 }
 
 _wide = random.Random(2000)
@@ -42,6 +60,15 @@ CASES = {
                 "f0a0741f521ae49693aaaa39819e38eb6ef6fd92a86ef20a3ecd613c605226d3"),
     "scan-w3": (["scan", "{z10x2}", "--workers", "3"],
                 "f0a0741f521ae49693aaaa39819e38eb6ef6fd92a86ef20a3ecd613c605226d3"),
+    # digests of the next four recorded before the negation-folded block kernel
+    "scan-folded-wide-w1": (["scan", "{z11x4}", "--workers", "1"],
+                            "73b6c75bcc784a2df7126f8591bbe3d171f6c7300ae978e66b8ddf7e591a03e5"),
+    "scan-folded-wide-w2": (["scan", "{z11x4}", "--workers", "2"],
+                            "73b6c75bcc784a2df7126f8591bbe3d171f6c7300ae978e66b8ddf7e591a03e5"),
+    "scan-unfolded-rank3": (["scan", "{z9x3}"],
+                            "6c551cb9d1a0a11aaa8dd67fdc5540b57e145d88eb96dd40293d616670027bcf"),
+    "scan-wide-index": (["scan", "{z150x2}"],
+                        "0edc431958ce0709e8c4fd4636c7e8f83fd1e02e37b6c04e2297832803907823"),
     "scan-sampled": (["scan", "{z30x2}", "--sample", "40", "--seed", "3"],
                      "adfeea079c846fc0243884c10fc58a6e3b51d73a8611288304c755cb2db95853"),
     "adjudicate": (["adjudicate", "{z12}"],

@@ -227,6 +227,35 @@ def test_window_constructs_exactly_when_sum_free(data) -> None:
         assert naive.sum_free(members, add=lambda a, b: (a + b) % n)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_negation_closed_matches_members(data) -> None:
+    n = data.draw(st.integers(2, 60), label="n")
+    cuts = data.draw(st.lists(st.integers(0, n - 1), max_size=8, unique=True), label="cuts")
+    cuts.sort()
+    members = {v for lo, hi in zip(cuts[::2], cuts[1::2]) for v in range(lo + 1, hi + 1)}
+    if data.draw(st.booleans(), label="mirror"):
+        members |= {n - t for t in members}
+    # Bands are the runs of members, some split in two touching bands.
+    bands = []
+    for t in sorted(members):
+        if bands and bands[-1][1] == t - 1:
+            bands[-1][1] = t
+        else:
+            bands.append([t - 1, t])
+    split = []
+    for lo, hi in bands:
+        if hi - lo > 1 and data.draw(st.booleans(), label="split"):
+            split += [(lo, lo + 1), (lo + 1, hi)]
+        else:
+            split.append((lo, hi))
+    try:
+        w = Window(n, tuple(split))
+    except WindowError:
+        return
+    assert w.negation_closed == ({(-t) % n for t in members} == members)
+
+
 def test_window_at_integer_scale_modulus() -> None:
     # Construction is interval arithmetic over band pairs: nothing sized by
     # the modulus is built, so the prime-field window of any p is cheap.

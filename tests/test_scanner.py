@@ -3,12 +3,13 @@
 import dataclasses
 import os
 import random
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import naive
@@ -116,6 +117,84 @@ def test_full_scan_matches_enumeration() -> None:
         assert report.zero_column_count_1 == counts1[0] == 0
         assert report.zero_column_count_2 == counts2[0] == 0
         assert verify_report(report, seq) == []
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(2, 15),
+    s=st.integers(1, 4),
+    m=st.integers(1, 300),
+    workers=st.integers(1, 3),
+    budget=st.sampled_from([1, 7, scanner._CHUNK_CELLS]),
+    seed=st.integers(0, 2**16),
+)
+# m = 256 and 300 need uint16 counts; folded odd, folded even and unfolded n
+@example(n=4, s=2, m=256, workers=2, budget=7, seed=1)
+@example(n=5, s=3, m=300, workers=1, budget=scanner._CHUNK_CELLS, seed=2)
+@example(n=9, s=2, m=260, workers=3, budget=1, seed=3)
+# s * (n - 1) = 399 and 298 need an index wider than uint8; in uint8, dot
+# products from 256 up would wrap onto residues of other membership
+@example(n=400, s=1, m=40, workers=2, budget=7, seed=4)
+@example(n=150, s=2, m=2, workers=3, budget=scanner._CHUNK_CELLS, seed=5)
+# the smallest moduli: n = 2 is all n/2 digit, n = 3 is unfolded
+@example(n=2, s=4, m=12, workers=3, budget=1, seed=6)
+@example(n=3, s=1, m=5, workers=1, budget=1, seed=7)
+def test_full_scan_matches_brute_force(n, s, m, workers, budget, seed) -> None:
+    # Keep the brute force at most ~60000 column-entry pairs.
+    while n**s > 25000:
+        s -= 1
+    m = min(m, max(1, 60000 // n**s))
+    seq = _random_sequence(random.Random(seed), n, s, m)
+    with mock.patch.object(scanner, "_CHUNK_CELLS", budget):
+        report = full_scan(seq, workers=workers)
+    size = n**s
+    for counts, rows, stats in zip(naive.scan_counts(seq), naive.row_totals(seq), report.windows):
+        hist = [0] * (m + 1)
+        for c in counts:
+            hist[c] += 1
+        best = max(counts)
+        assert stats == scanner.WindowStats(
+            expected_count=Fraction(sum(counts), size),
+            grand_total=sum(counts),
+            mean_full=Fraction(sum(counts), size),
+            mean_nonzero=Fraction(sum(counts), size - 1),
+            sample_mean=None,
+            row_totals=tuple(rows),
+            best_x=seq.spec.coords_of(counts.index(best)),
+            best_count=best,
+            histogram=tuple(hist),
+            zero_column_count=counts[0],
+        )
+    assert verify_report(report, seq) == []
+
+
+def test_fold_scans_half_the_first_digits() -> None:
+    # 3 does not divide n: digit 0, 1..ceil(n/2)-1 at weight 2 and, for
+    # even n, n/2; 3 | n: every digit at weight 1.
+    for n in range(2, 300):
+        folds = all(w.negation_closed for w in scanner.scan_windows(n))
+        assert folds == (n % 3 != 0)
+    for n in range(2, 40):
+        for s in (1, 2):
+            blocks = scanner._column_blocks(n, s, scanner.scan_windows(n))
+            assert sum(w * (d1 - d0) for d0, d1, w in blocks) == n
+            scanned = {d for d0, d1, _ in blocks for d in range(d0, d1)}
+            assert scanned == set(range(n if n % 3 == 0 else n // 2 + 1))
+
+
+def test_exhaustive_scan_scratch_is_bounded() -> None:
+    # Z_9999991 at m = 5: beyond the two window tables (~10 MB each),
+    # nothing sized by n may be allocated.
+    spec = GroupSpec(9999991, 1)
+    seq = GroupSequence(spec, ((1,), (2,), (5,), (9999990,), (123457,)))
+    tracemalloc.start()
+    try:
+        report = full_scan(seq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert verify_report(report, seq) == []
 
 
 def test_full_scan_frozen_z7() -> None:
