@@ -2,8 +2,12 @@
 
 The search is branch and bound over distinct values (positions sharing a
 value stand or fall together: a multiset is sum-free exactly when its
-support set is).  It is intended for short sequences; above the size cap
-it refuses, and callers fall back to `greedy_sum_free`.
+support set is).  Each pairwise sum is computed once, into conflict
+bitmasks in which every value owns one bit per occurrence.  The
+depth-first search then works on Python ints only, and bounds a subtree
+by the bit count of the values that can still join, which is their
+total multiplicity.  It is intended for short sequences; above the size
+cap it refuses, and callers fall back to `greedy_sum_free`.
 """
 
 from __future__ import annotations
@@ -89,69 +93,93 @@ def _distinct_in_order(values: Sequence) -> tuple[list, dict]:
     return order, positions
 
 
-class _Search:
-    """Include-first depth-first search over distinct values.
+def _conflict_masks(order: list, own: list[int], add: AddFn) -> tuple[list[list[int]], int]:
+    """Pairwise conflicts of the distinct values, as bitmasks.
 
-    Visiting values in first-occurrence order and only accepting strict
-    improvements makes the reported maximum the one with the
-    lexicographically smallest position list.
+    own[i] is the mask of value order[i].  Each sum order[i] + order[j],
+    i <= j, is computed once.  When it is a value order[k], the set
+    {i, j, k} may not be chosen whole.  Three distinct values: clash[i][j]
+    gets k's bits, and likewise for the other two pairs.  Two (a + a = c,
+    or a + b = a): each goes into the other's diagonal entry, so choosing
+    one blocks the other.  One (a + a = a): the value is dead.  Returns
+    (clash, dead).
     """
+    q = len(order)
+    index = {v: k for k, v in enumerate(order)}
+    clash = [[0] * q for _ in range(q)]
+    dead = 0
+    for i, a in enumerate(order):
+        for j in range(i, q):
+            k = index.get(add(a, order[j]))
+            if k is None:
+                continue
+            if i == j == k:
+                dead |= own[i]
+            elif i == j or k == i or k == j:
+                x, y = (i, k) if i == j else (i, j)
+                clash[x][x] |= own[y]
+                clash[y][y] |= own[x]
+            else:
+                clash[i][j] |= own[k]
+                clash[j][i] |= own[k]
+                clash[i][k] |= own[j]
+                clash[k][i] |= own[j]
+                clash[j][k] |= own[i]
+                clash[k][j] |= own[i]
+    return clash, dead
 
-    def __init__(self, order: list, weight: dict, add: AddFn):
-        self.order = order
-        self.weight = weight
-        self.add = add
-        self.suffix = [0] * (len(order) + 1)
-        for i in range(len(order) - 1, -1, -1):
-            self.suffix[i] = self.suffix[i + 1] + weight[order[i]]
-        self.chosen: list = []
-        self.chosen_set: set = set()
-        self.sums: set = set()
-        self.best_weight = -1
-        self.best: list = []
 
-    def _compatible(self, v) -> bool:
-        if v in self.sums:
-            return False
-        if self.add(v, v) in self.chosen_set or self.add(v, v) == v:
-            return False
-        for u in self.chosen:
-            t = self.add(u, v)
-            if t in self.chosen_set or t == v:
-                return False
-        return True
+def _best_support(order: list, weight: list[int], add: AddFn) -> list[int]:
+    """Indices into `order` of the heaviest sum-free support, by an
+    include-first depth-first search in first-occurrence order.
 
-    def run(self) -> list:
-        self._dfs(0, 0)
-        return self.best
+    A node holds the chosen values and `avail`, the bits of the values
+    after the last decision that can still join them.  Including value i
+    removes from `avail` its own bits, clash[i][i] and clash[i][u] for
+    every chosen u; excluding it removes only its bits.  A subtree is cut
+    when the chosen weight plus the bit count of `avail` cannot strictly
+    beat the incumbent, and a node whose `avail` is empty is a leaf.
 
-    def _dfs(self, i: int, weight: int) -> None:
-        if weight + self.suffix[i] <= self.best_weight:
+    Tie-break: the result is the first leaf, in the order of the search
+    with no cuts at all, that reaches the global maximum W.  Every leaf
+    reached before it weighs less than W, so on the way down to it the
+    incumbent stays below W while each ancestor's bound is at least W:
+    no ancestor is cut.  Only strict improvements replace the incumbent,
+    so later leaves of weight W do not.  Any valid upper bound gives the
+    same witness; the first leaf has the lexicographically smallest
+    position list among the maxima.
+    """
+    own: list[int] = []
+    value_of_bit: list[int] = []
+    for i, w in enumerate(weight):
+        own.append(((1 << w) - 1) << len(value_of_bit))
+        value_of_bit += [i] * w
+    clash, dead = _conflict_masks(order, own, add)
+    chosen: list[int] = []
+    best: list[int] = []
+    best_weight = -1
+
+    def dfs(w: int, avail: int) -> None:
+        nonlocal best, best_weight
+        if w + avail.bit_count() <= best_weight:
             return  # cannot strictly beat the incumbent
-        if i == len(self.order):
-            self.best_weight = weight
-            self.best = list(self.chosen)
+        if not avail:
+            best_weight = w
+            best = list(chosen)
             return
-        v = self.order[i]
-        if self._compatible(v):
-            added = []
-            for u in self.chosen:
-                t = self.add(u, v)
-                if t not in self.sums:
-                    self.sums.add(t)
-                    added.append(t)
-            t = self.add(v, v)
-            if t not in self.sums:
-                self.sums.add(t)
-                added.append(t)
-            self.chosen.append(v)
-            self.chosen_set.add(v)
-            self._dfs(i + 1, weight + self.weight[v])
-            self.chosen.pop()
-            self.chosen_set.discard(v)
-            for t in added:
-                self.sums.discard(t)
-        self._dfs(i + 1, weight)
+        i = value_of_bit[(avail & -avail).bit_length() - 1]
+        rest = avail ^ own[i]
+        row = clash[i]
+        blocked = row[i]
+        for u in chosen:
+            blocked |= row[u]
+        chosen.append(i)
+        dfs(w + weight[i], rest & ~blocked)
+        chosen.pop()
+        dfs(w, rest)
+
+    dfs(0, ((1 << len(value_of_bit)) - 1) & ~dead)
+    return best
 
 
 def max_sum_free(
@@ -160,7 +188,7 @@ def max_sum_free(
     limit: int = EXACT_SEARCH_LIMIT,
 ) -> SumFreeWitness:
     """Exact maximum sum-free subsequence; ties resolved to the
-    lexicographically smallest position list."""
+    lexicographically smallest position list.  `add` must be commutative."""
     if len(values) > limit:
         raise ExactSearchCapExceeded(
             f"exact search limited to {limit} values, got {len(values)}; "
@@ -169,9 +197,8 @@ def max_sum_free(
     if not values:
         return SumFreeWitness((), 0, True)
     order, positions = _distinct_in_order(values)
-    weight = {v: len(positions[v]) for v in order}
-    best = _Search(order, weight, add).run()
-    indices = sorted(i for v in best for i in positions[v])
+    best = _best_support(order, [len(positions[v]) for v in order], add)
+    indices = sorted(i for k in best for i in positions[order[k]])
     return SumFreeWitness(tuple(indices), len(indices), True)
 
 

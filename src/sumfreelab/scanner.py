@@ -24,6 +24,7 @@ integers alike, all run through one chunked kernel, `_sampled_tallies`.
 from __future__ import annotations
 
 import functools
+import math
 import os
 import random
 from collections import Counter
@@ -59,8 +60,13 @@ def scan_windows(n: int) -> tuple[Window, ...]:
 
 
 def divisor_profile(seq: GroupSequence) -> DivisorProfile:
-    """Multiplicity of each gcd class in the sequence."""
-    counts = Counter(seq.spec.gcd_class(b) for b in seq)
+    """Multiplicity of each gcd class in the sequence.
+
+    `GroupSequence` has already validated its entries as nonzero, so the
+    class is gcd(n, *b) directly, without `GroupSpec.gcd_class`'s checks.
+    """
+    n = seq.spec.n
+    counts = Counter(math.gcd(n, *b) for b in seq)
     return DivisorProfile(tuple(sorted(counts.items())))
 
 
@@ -458,13 +464,13 @@ def verify_report(report: ScanReport, seq: GroupSequence) -> list[str]:
     n, s = spec.n, spec.s
     columns = spec.size if report.exhaustive else report.sample_size
     windows = scan_windows(n)
+    gcds = [math.gcd(n, *b) for b in seq]  # entries already validated nonzero
     if len(report.windows) != len(windows):
         problems.append(f"report has {len(report.windows)} windows, not {len(windows)}")
     for j, (w, stats) in enumerate(zip(windows, report.windows), start=1):
         rows, hist = stats.row_totals, stats.histogram
         if report.exhaustive:
-            for i, b in enumerate(seq):
-                d = spec.gcd_class(b)
+            for i, d in enumerate(gcds):
                 want = d * n ** (s - 1) * w.count_multiples(d)
                 if rows[i] != want:
                     problems.append(f"row {i}: window-{j} total {rows[i]} != {want}")

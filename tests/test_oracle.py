@@ -1,10 +1,12 @@
 """Sum-free checks and the exact maximum search against brute force."""
 
+import importlib
+import operator
 import random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import naive
@@ -18,6 +20,8 @@ from sumfreelab.oracle import (
     is_sum_free,
     max_sum_free,
 )
+
+adjmod = importlib.import_module("sumfreelab.adjudicate")
 
 
 def test_is_sum_free_examples() -> None:
@@ -120,6 +124,78 @@ def test_max_matches_brute_force_groups() -> None:
         size, indices = naive.max_sum_free_brute(vals, add=spec.add)
         w = max_sum_free(vals, add=spec.add)
         assert (w.size, w.indices) == (size, indices)
+
+
+@st.composite
+def _with_repeats(draw, values: st.SearchStrategy, twin) -> list:
+    """Up to 12 values: a base list, then copies of its entries mapped
+    through `twin` or kept as they are, shuffled in."""
+    base = draw(st.lists(values, max_size=8))
+    extra = draw(st.lists(st.sampled_from(base), max_size=12 - len(base))) if base else []
+    mapped = [twin(v) if draw(st.booleans()) else v for v in extra]
+    return draw(st.permutations(base + mapped))
+
+
+def _same_as_brute(values, add=operator.add) -> None:
+    w = max_sum_free(values, add=add)
+    assert (w.size, w.indices) == naive.max_sum_free_brute(values, add=add)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_with_repeats(st.integers(-9, 9), lambda v: -v))
+@example([0, 1, 2, 0, 3])  # 0 + 0 = 0: never chosen
+@example([1, 2, 2, 5])  # 1 + 1 = 2 against the heavier 2
+@example([1, 2, 2, 1])  # {1} and {2} tie at weight 2: the first occurrence wins
+@example([3, -3, 0, 6, 3])  # +-pair, 3 + 3 = 6, 3 + (-3) = 0
+def test_max_sum_free_matches_brute_integers(values) -> None:
+    _same_as_brute(values)
+
+
+@st.composite
+def _group_inputs(draw) -> tuple[GroupSpec, list]:
+    spec = GroupSpec(draw(st.integers(2, 13)), draw(st.integers(1, 3)))
+    coord = st.integers(0, spec.n - 1)
+    negate = lambda b: tuple(-c % spec.n for c in b)  # noqa: E731
+    return spec, draw(_with_repeats(st.tuples(*[coord] * spec.s), negate))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_group_inputs())
+@example((GroupSpec(7, 1), [(0,), (3,), (0,)]))  # the zero element is dead
+@example((GroupSpec(7, 1), [(2,), (4,), (4,)]))  # 2a = c
+@example((GroupSpec(7, 1), [(1,), (2,), (2,), (1,)]))  # weighted tie
+@example((GroupSpec(2, 2), [(1, 0), (0, 1), (1, 1), (1, 1)]))  # a + b = c, c doubled
+def test_max_sum_free_matches_brute_groups(case) -> None:
+    spec, values = case
+    _same_as_brute(values, spec.add)
+
+
+# (size, indices) of the first five Z_12^2, m = 20 instances that
+# counterexample_search draws from seed 20260818, as the search before
+# the bitmask rewrite reported them.  The benchmark's search reports
+# list no witness when nothing is found, so these pin the oracle there.
+_Z12X2_WITNESSES = [
+    (15, (0, 1, 2, 5, 6, 7, 9, 10, 11, 12, 13, 15, 16, 18, 19)),
+    (13, (0, 1, 2, 3, 5, 6, 7, 9, 11, 14, 17, 18, 19)),
+    (16, (0, 1, 2, 3, 4, 5, 6, 7, 9, 12, 13, 14, 15, 16, 17, 18)),
+    (13, (0, 1, 3, 4, 5, 7, 8, 9, 12, 13, 16, 18, 19)),
+    (16, (1, 2, 3, 4, 5, 6, 7, 8, 10, 11, 14, 15, 16, 17, 18, 19)),
+]
+
+
+def test_frozen_witnesses_at_benchmark_size() -> None:
+    seen = []
+
+    def record(values, add):
+        w = max_sum_free(values, add=add)
+        seen.append((w.size, w.indices))
+        return w
+
+    query = adjmod.CounterexampleQuery(n=12, s=2, m=20, mode="random", budget=5, seed=20260818)
+    with mock.patch.object(adjmod, "max_sum_free", record):
+        result = adjmod.counterexample_search(query)
+    assert result.oracle_checked == 5
+    assert seen == _Z12X2_WITNESSES
 
 
 def test_max_monotone_under_extension() -> None:
