@@ -174,36 +174,28 @@ def counterexample_search(query: CounterexampleQuery, spec: GroupSpec | None = N
         spec = GroupSpec(query.n, query.s)
     if (spec.n, spec.s) != (query.n, query.s):
         raise ValueError("group spec disagrees with the query")
-    findings: list[Finding] = []
-    checked = 0
-    oracle_checked = 0
-
-    if query.mode == "exhaustive":
+    complete = query.mode == "exhaustive"
+    if complete:
         total = _multiset_count(spec.size - 1, query.m)
         if total > query.budget:
             raise ValueError(
                 f"exhaustive search needs {total} instances, above the "
                 f"budget {query.budget}"
             )
-        for elements in _exhaustive_instances(spec, query.m):
-            f = _evaluate(spec, elements)
-            checked += 1
-            if len(elements) <= EXACT_SEARCH_LIMIT:
-                oracle_checked += 1
-            if f is not None:
-                findings.append(f)
-        complete = True
+        instances = _exhaustive_instances(spec, query.m)
     else:
         rng = random.Random(query.seed)
-        for _ in range(query.budget):
-            elements = tuple(spec.random_nonzero(rng) for _ in range(query.m))
-            f = _evaluate(spec, elements)
-            checked += 1
-            if query.m <= EXACT_SEARCH_LIMIT:
-                oracle_checked += 1
-            if f is not None:
-                findings.append(f)
-        complete = False
+        instances = (
+            tuple(spec.random_nonzero(rng) for _ in range(query.m)) for _ in range(query.budget)
+        )
+    findings: list[Finding] = []
+    checked = oracle_checked = 0
+    for elements in instances:
+        f = _evaluate(spec, elements)
+        checked += 1
+        oracle_checked += len(elements) <= EXACT_SEARCH_LIMIT
+        if f is not None:
+            findings.append(f)
 
     findings.sort(key=lambda f: (f.m, f.elements))
     return SearchResult(

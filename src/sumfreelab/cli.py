@@ -1,9 +1,10 @@
 """Command line front end.
 
-Exit codes: 0 clean run, 1 a finding (failed verification, a falsified
-inequality row, a counterexample candidate, an internal invariant
-violation), 2 bad input or usage.  All report bytes go to stdout or the
--o file; anything meant for humans goes to stderr.
+Each `cmd_*` function runs one subcommand and returns its report text
+and the problems its checks found; `main` alone writes the report to
+stdout or the -o file, prints the problems to stderr and picks the exit
+code.  Report bytes come from `jsonio`; anything meant for humans goes
+to stderr.
 """
 
 from __future__ import annotations
@@ -20,9 +21,12 @@ from .adjudicate import (
     prime_case_check,
 )
 from .extremal import density, rhemtulla_street_bound, tightness_instance
+from .groups import GroupSequence
 from .integers import extract_sum_free_subset, parse_integer_lines
 from .scanner import (
     DEFAULT_SCAN_CAP,
+    GroupExtraction,
+    ScanReport,
     extract_sum_free_group,
     full_scan,
     verify_report,
@@ -30,28 +34,31 @@ from .scanner import (
 )
 
 
-def _emit(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
+Outcome = tuple[str, list[str]]  # (report text, problems its checks found)
 
 
-def cmd_extract_integers(args: argparse.Namespace) -> int:
+def _group_problems(
+    report: ScanReport, seq: GroupSequence, extraction: GroupExtraction
+) -> list[str]:
+    """The exact invariants every group scan is held to, as stderr lines."""
+    problems = verify_report(report, seq)
+    if not extraction.verified_sum_free:
+        problems.append("extracted subsequence failed the sum-free oracle")
+    return [f"invariant violation: {p}" for p in problems]
+
+
+def cmd_extract_integers(args: argparse.Namespace) -> Outcome:
     if args.input == "-":
         lines = sys.stdin.read().splitlines()
     else:
         lines = Path(args.input).read_text().splitlines()
     values = parse_integer_lines(lines)
     extraction = extract_sum_free_subset(values, sample=args.sample, seed=args.seed)
-    _emit(jsonio.dumps(extraction.to_record()), args.output)
-    if not extraction.verified:
-        print("extraction failed verification", file=sys.stderr)
-        return 1
-    return 0
+    problems = [] if extraction.verified else ["extraction failed verification"]
+    return jsonio.dumps(jsonio.integer_extraction_to_dict(extraction)), problems
 
 
-def cmd_scan(args: argparse.Namespace) -> int:
+def cmd_scan(args: argparse.Namespace) -> Outcome:
     seq = jsonio.load_group_sequence(Path(args.group).read_text())
     report = full_scan(
         seq,
@@ -61,48 +68,27 @@ def cmd_scan(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     extraction = extract_sum_free_group(seq, report)
-    _emit(jsonio.dumps(jsonio.scan_report_to_dict(report, extraction)), args.output)
-    problems = verify_report(report, seq)
-    if not extraction.verified_sum_free:
-        problems.append("extracted subsequence failed the sum-free oracle")
-    if problems:
-        for p in problems:
-            print(f"invariant violation: {p}", file=sys.stderr)
-        return 1
-    return 0
+    text = jsonio.dumps(jsonio.scan_report_to_dict(report, extraction))
+    return text, _group_problems(report, seq, extraction)
 
 
-def cmd_inequality(args: argparse.Namespace) -> int:
+def cmd_inequality(args: argparse.Namespace) -> Outcome:
     rows = weighted_inequality_sweep(args.max_n)
-    _emit(jsonio.inequality_rows_to_csv(rows), args.output)
-    failures = [r for r in rows if not r.passes]
-    if failures:
-        for r in failures:
-            print(f"inequality fails at n={r.n}, d={r.d}: {r.lhs} < 2/7", file=sys.stderr)
-        return 1
-    return 0
+    problems = [
+        f"inequality fails at n={r.n}, d={r.d}: {r.lhs} < 2/7" for r in rows if not r.passes
+    ]
+    return jsonio.inequality_rows_to_csv(rows), problems
 
 
-def cmd_adjudicate(args: argparse.Namespace) -> int:
+def cmd_adjudicate(args: argparse.Namespace) -> Outcome:
     seq = jsonio.load_group_sequence(Path(args.group).read_text())
     instance_id = args.id if args.id is not None else Path(args.group).stem
     record = adjudicate(seq, instance_id, workers=args.workers)
-    _emit(jsonio.dumps(jsonio.adjudication_to_dict(record)), args.output)
-    problems = [
-        f"window-{j} full mean broke its identity"
-        for j, ok in enumerate(record.full_mean_matches_expected, start=1)
-        if not ok
-    ]
-    if not record.extraction.verified_sum_free:
-        problems.append("extracted subsequence failed the sum-free oracle")
-    if problems:
-        for p in problems:
-            print(f"invariant violation: {p}", file=sys.stderr)
-        return 1
-    return 0
+    text = jsonio.dumps(jsonio.adjudication_to_dict(record))
+    return text, _group_problems(record.report, seq, record.extraction)
 
 
-def cmd_search(args: argparse.Namespace) -> int:
+def cmd_search(args: argparse.Namespace) -> Outcome:
     budget = args.budget
     if budget is None:
         if args.mode == "random":
@@ -112,51 +98,30 @@ def cmd_search(args: argparse.Namespace) -> int:
         n=args.n, s=args.s, m=args.m, mode=args.mode, budget=budget, seed=args.seed
     )
     result = counterexample_search(query)
-    _emit(jsonio.dumps(jsonio.search_result_to_dict(result)), args.output)
-    if result.findings:
-        print(f"{len(result.findings)} finding(s) recorded", file=sys.stderr)
-        return 1
-    return 0
+    problems = [f"{len(result.findings)} finding(s) recorded"] if result.findings else []
+    return jsonio.dumps(jsonio.search_result_to_dict(result)), problems
 
 
-def cmd_prime_case(args: argparse.Namespace) -> int:
+def cmd_prime_case(args: argparse.Namespace) -> Outcome:
     report = prime_case_check(
         args.p, args.s, trials=args.trials, seed=args.seed, m_max=args.m_max
     )
-    _emit(jsonio.dumps(jsonio.prime_case_to_dict(report)), args.output)
     ok = (
         report.window_ratio_ok
         and report.all_divisors_one
         and report.all_nonzero_means_match
         and report.all_extractions_beat
     )
-    if not ok:
-        print("prime-case check failed", file=sys.stderr)
-        return 1
-    return 0
+    problems = [] if ok else ["prime-case check failed"]
+    return jsonio.dumps(jsonio.prime_case_to_dict(report)), problems
 
 
-def cmd_extremal(args: argparse.Namespace) -> int:
+def cmd_extremal(args: argparse.Namespace) -> Outcome:
     bound = rhemtulla_street_bound(args.p, args.s)
-    out = {
-        "schema": jsonio.SCHEMA,
-        "kind": "extremal",
-        "p": args.p,
-        "s": args.s,
-        "bound": bound,
-        "density": jsonio.frac(density(args.p, args.s)),
-        "tightness": None,
-    }
-    code = 0
-    if (args.p, args.s) == (7, 1):
-        tight = tightness_instance()
-        out["tightness"] = jsonio.tightness_to_dict(tight)
-        if not tight.matched:
-            code = 1
-    _emit(jsonio.dumps(out), args.output)
-    if code:
-        print("tightness instance failed to match", file=sys.stderr)
-    return code
+    tight = tightness_instance() if (args.p, args.s) == (7, 1) else None
+    record = jsonio.extremal_to_dict(args.p, args.s, bound, density(args.p, args.s), tight)
+    problems = ["tightness instance failed to match"] if tight and not tight.matched else []
+    return jsonio.dumps(record), problems
 
 
 def _add_output(p: argparse.ArgumentParser) -> None:
@@ -232,12 +197,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; the only place that writes its report and exit code.
+
+    The report goes to stdout or the -o file, then each problem its
+    checks found goes to stderr on a line of its own.  Exit codes: 0 a
+    clean run, 1 a report written with problems (failed verification, a
+    falsified inequality row, a counterexample candidate, an internal
+    invariant violation), 2 bad input or usage, with no report.
+    """
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        text, problems = args.func(args)
+        if args.output is None:
+            sys.stdout.write(text)
+        else:
+            Path(args.output).write_text(text)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    for p in problems:
+        print(p, file=sys.stderr)
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":

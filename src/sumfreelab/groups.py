@@ -137,10 +137,6 @@ class DivisorProfile:
     pairs: tuple[tuple[int, int], ...]  # (divisor, multiplicity), sorted
 
     @property
-    def divisors(self) -> tuple[int, ...]:
-        return tuple(d for d, _ in self.pairs)
-
-    @property
     def min_divisor(self) -> int:
         return self.pairs[0][0]
 

@@ -392,18 +392,6 @@ class IntegerExtraction:
             and self.size_bound_met
         )
 
-    def to_record(self) -> dict:
-        """The flat witness record emitted on the wire."""
-        return {
-            "schema": 1,
-            "p": self.choice.p,
-            "k": self.choice.k,
-            "x": self.column.x,
-            "indices": list(self.indices),
-            "size": self.size,
-            "verified": self.verified,
-        }
-
 
 def extract_sum_free_subset(
     values: Sequence[int],

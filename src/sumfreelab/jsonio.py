@@ -1,8 +1,16 @@
 """Canonical JSON and CSV forms for every report the toolkit emits.
 
+This is the only module that knows the wire format.  One field-driven
+encoder writes every report: a dataclass as an object of its fields, a
+tuple as a list and a `Fraction` as {"num", "den"} in lowest terms.
+Each report is a record: `schema` (always `SCHEMA`), a `kind` for all
+but the integer witness, and the encoded fields of its dataclass.  The
+few keys that are not plain fields (the scans' per-window `<stat>_<j>`
+keys, the tightness witness) are renamed here and nowhere else.
+
 Serialization rules: keys sorted, two-space indent, trailing newline,
-rationals as {"num", "den"} in lowest terms, no floats and no
-environment-dependent fields, so reruns are byte-identical.
+no floats and no environment-dependent fields, so reruns are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -10,38 +18,46 @@ from __future__ import annotations
 import json
 from dataclasses import fields
 from fractions import Fraction
-from typing import Any
+from typing import Any, Iterable
 
-from .adjudicate import (
-    AdjudicationRecord,
-    Finding,
-    PrimeCaseReport,
-    SearchResult,
-)
+from .adjudicate import AdjudicationRecord, PrimeCaseReport, SearchResult
 from .extremal import TightnessReport
 from .groups import GroupSequence, GroupSpec
+from .integers import IntegerExtraction
 from .scanner import GroupExtraction, InequalityRow, ScanReport, WindowStats
 
 SCHEMA = 1
 
 
-def frac(value: Fraction | None) -> dict[str, int] | None:
-    if value is None:
-        return None
-    return {"num": value.numerator, "den": value.denominator}
+def _encode(value: Any) -> Any:
+    """A report value as JSON data: dataclasses by field, tuples as lists."""
+    if value is None or isinstance(value, (int, str)):
+        return value
+    if isinstance(value, Fraction):
+        return {"num": value.numerator, "den": value.denominator}
+    if isinstance(value, (tuple, list)):
+        return [_encode(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _encode(v) for k, v in value.items()}
+    return _encode(_fields(value))
+
+
+def _fields(obj: Any, *omit: str) -> dict:
+    """A dataclass's fields by name, without those in `omit`."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj) if f.name not in omit}
+
+
+def _record(**values: Any) -> dict:
+    return _encode({"schema": SCHEMA, **values})
+
+
+def _numbered(stem: str, values: Iterable[Any]) -> dict:
+    """`<stem>_<j>` keys for a per-window sequence, j counting from 1."""
+    return {f"{stem}_{j}": v for j, v in enumerate(values, start=1)}
 
 
 def dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-def group_sequence_to_dict(seq: GroupSequence) -> dict:
-    return {
-        "schema": SCHEMA,
-        "n": seq.spec.n,
-        "s": seq.spec.s,
-        "elements": [list(e) for e in seq.elements],
-    }
 
 
 def load_group_sequence(text: str) -> GroupSequence:
@@ -63,15 +79,10 @@ def load_group_sequence(text: str) -> GroupSequence:
     return GroupSequence(spec, tuple(tuple(e) for e in elements))
 
 
-def extraction_to_dict(e: GroupExtraction) -> dict:
-    return {
-        "multiplier": list(e.multiplier),
-        "window_index": e.window_index,
-        "indices": list(e.indices),
-        "size": e.size,
-        "verified_sum_free": e.verified_sum_free,
-        "beats_two_sevenths": e.beats_two_sevenths,
-    }
+def integer_extraction_to_dict(e: IntegerExtraction) -> dict:
+    """The flat integer witness record: prime, multiplier and positions."""
+    return _record(p=e.choice.p, k=e.choice.k, x=e.column.x, indices=e.indices,
+                   size=e.size, verified=e.verified)
 
 
 #: Per-window keys as (JSON key stem, WindowStats field): window j's
@@ -83,122 +94,50 @@ _ADJUDICATION_WINDOW_KEYS = (
 )
 
 
-def _window_keys(windows: tuple[WindowStats, ...], table: tuple[tuple[str, str], ...]) -> dict:
-    out = {}
-    for j, w in enumerate(windows, start=1):
-        for key, stat in table:
-            value = getattr(w, stat)
-            if isinstance(value, Fraction):
-                value = frac(value)
-            out[f"{key}_{j}"] = list(value) if isinstance(value, tuple) else value
+def _scan_keys(r: ScanReport, table: tuple[tuple[str, str], ...], *omit: str) -> dict:
+    """A scan's own fields, its divisor profile and its per-window keys."""
+    out = _fields(r, "workers", "profile", "windows", *omit)
+    out["divisor_profile"] = r.profile.pairs
+    for key, stat in table:
+        out.update(_numbered(key, (getattr(w, stat) for w in r.windows)))
     return out
 
 
 def scan_report_to_dict(r: ScanReport, extraction: GroupExtraction | None = None) -> dict:
-    out = {
-        "schema": SCHEMA,
-        "kind": "scan",
-        "n": r.n,
-        "s": r.s,
-        "m": r.m,
-        "exhaustive": r.exhaustive,
-        "sample_size": r.sample_size,
-        "seed": r.seed,
-        "divisor_profile": [list(p) for p in r.profile.pairs],
-        **_window_keys(r.windows, _SCAN_WINDOW_KEYS),
-    }
+    out = _record(kind="scan", **_scan_keys(r, _SCAN_WINDOW_KEYS))
     if extraction is not None:
-        out["extraction"] = extraction_to_dict(extraction)
+        out["extraction"] = _encode(extraction)
     return out
 
 
 def adjudication_to_dict(rec: AdjudicationRecord) -> dict:
-    r = rec.report
-    return {
-        "schema": SCHEMA,
-        "kind": "adjudication",
-        "instance_id": rec.instance_id,
-        "n": r.n,
-        "s": r.s,
-        "m": r.m,
-        "divisor_profile": [list(p) for p in r.profile.pairs],
-        **_window_keys(r.windows, _ADJUDICATION_WINDOW_KEYS),
-        "divisor_range_bound": frac(rec.divisor_range_bound),
-        "divisor_range_bound_limit": frac(rec.divisor_range_bound_limit),
-        "extraction": extraction_to_dict(rec.extraction),
-        **{f"full_mean_matches_expected_{j}": ok
-           for j, ok in enumerate(rec.full_mean_matches_expected, start=1)},
-        "some_column_beats_expected_1": rec.some_column_beats_expected_1,
-        "extraction_beats_two_sevenths": rec.extraction.beats_two_sevenths,
-    }
-
-
-def finding_to_dict(f: Finding) -> dict:
-    return {
-        "elements": [list(e) for e in f.elements],
-        "m": f.m,
-        "extraction_size": f.extraction_size,
-        "exact_max_size": f.exact_max_size,
-        "extraction_below_bound": f.extraction_below_bound,
-        "max_below_bound": f.max_below_bound,
-    }
+    # An adjudication always scans exhaustively, so it omits the sampling fields.
+    return _record(
+        kind="adjudication",
+        **_scan_keys(rec.report, _ADJUDICATION_WINDOW_KEYS, "exhaustive", "sample_size", "seed"),
+        **_fields(rec, "report", "full_mean_matches_expected"),
+        **_numbered("full_mean_matches_expected", rec.full_mean_matches_expected),
+        extraction_beats_two_sevenths=rec.extraction.beats_two_sevenths,
+    )
 
 
 def search_result_to_dict(res: SearchResult) -> dict:
-    return {
-        "schema": SCHEMA,
-        "kind": "search",
-        "query": {
-            "n": res.query.n,
-            "s": res.query.s,
-            "m": res.query.m,
-            "mode": res.query.mode,
-            "budget": res.query.budget,
-            "seed": res.query.seed,
-        },
-        "instances": res.instances,
-        "oracle_checked": res.oracle_checked,
-        "complete": res.complete,
-        "findings": [finding_to_dict(f) for f in res.findings],
-    }
+    return _record(kind="search", **_fields(res))
 
 
 def prime_case_to_dict(rep: PrimeCaseReport) -> dict:
-    return {
-        "schema": SCHEMA,
-        "kind": "prime-case",
-        "p": rep.p,
-        "s": rep.s,
-        "trials": rep.trials,
-        "seed": rep.seed,
-        "window_ratio": frac(rep.window_ratio),
-        "window_ratio_ok": rep.window_ratio_ok,
-        "all_divisors_one": rep.all_divisors_one,
-        "all_nonzero_means_match": rep.all_nonzero_means_match,
-        "all_extractions_beat": rep.all_extractions_beat,
-        "trial_results": [
-            {
-                "m": t.m,
-                "extraction_size": t.extraction_size,
-                "beats_two_sevenths": t.beats_two_sevenths,
-                "nonzero_mean_matches_formula": t.nonzero_mean_matches_formula,
-            }
-            for t in rep.trial_results
-        ],
-    }
+    return _record(kind="prime-case", **_fields(rep))
 
 
 def tightness_to_dict(rep: TightnessReport) -> dict:
-    return {
-        "p": rep.p,
-        "s": rep.s,
-        "m": rep.m,
-        "bound": rep.bound,
-        "oracle_max": rep.oracle_max,
-        "witness_indices": list(rep.witness.indices),
-        "two_sevenths_of_m_plus_1": frac(rep.two_sevenths_of_m_plus_1),
-        "matched": rep.matched,
-    }
+    return _encode({**_fields(rep, "witness"), "witness_indices": rep.witness.indices})
+
+
+def extremal_to_dict(p: int, s: int, bound: int, density: Fraction,
+                     tightness: TightnessReport | None) -> dict:
+    """The extremal size and density of Z_p^s, with the Z_7 certificate if run."""
+    return _record(kind="extremal", p=p, s=s, bound=bound, density=density,
+                   tightness=None if tightness is None else tightness_to_dict(tightness))
 
 
 def inequality_rows_to_csv(rows: list[InequalityRow]) -> str:

@@ -507,11 +507,6 @@ class GroupExtraction:
 def extract_sum_free_group(
     seq: GroupSequence,
     report: ScanReport | None = None,
-    *,
-    workers: int = 1,
-    cap: int = DEFAULT_SCAN_CAP,
-    sample: int | None = None,
-    seed: int | None = None,
 ) -> GroupExtraction:
     """Pick the best of the windows' best columns and pull back.
 
@@ -520,7 +515,7 @@ def extract_sum_free_group(
     records whether this instance beats the guaranteed density.
     """
     if report is None:
-        report = full_scan(seq, workers=workers, cap=cap, sample=sample, seed=seed)
+        report = full_scan(seq)
     spec = seq.spec
     # max keeps the first of equal counts, so ties go to window 1.
     which = max(range(len(report.windows)), key=lambda j: report.windows[j].best_count)

@@ -1,10 +1,12 @@
 """Command line protocol: schemas, exit codes, determinism."""
 
+import dataclasses
 import json
 
 import pytest
 
 import sumfreelab.cli as climod
+from sumfreelab.adjudicate import Finding
 from sumfreelab.cli import main
 from sumfreelab.primes import PROVEN_LIMIT
 from sumfreelab.scanner import InequalityRow
@@ -171,11 +173,13 @@ def test_adjudicate(z7_file, capsys) -> None:
     assert rec["instance_id"] == "mine"
 
 
-def test_scan_invariant_violation_exit(z7_file, monkeypatch, capsys) -> None:
+@pytest.mark.parametrize("command", ["scan", "adjudicate"])
+def test_scan_invariant_violation_exit(command, z7_file, monkeypatch, capsys) -> None:
     monkeypatch.setattr(climod, "verify_report", lambda report, seq: ["boom"])
-    assert main(["scan", str(z7_file)]) == 1
-    err = capsys.readouterr().err
-    assert "invariant violation" in err
+    assert main([command, str(z7_file)]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["extraction"]["verified_sum_free"] is True
+    assert captured.err == "invariant violation: boom\n"
 
 
 def test_search_exhaustive(capsys) -> None:
@@ -240,3 +244,61 @@ def test_stdout_deterministic(z7_file, capsys) -> None:
     a = capsys.readouterr().out
     assert main(["adjudicate", str(z7_file)]) == 0
     assert capsys.readouterr().out == a
+
+
+#: One run of every subcommand; {ints} and {z7} name input files.
+COMMANDS = {
+    "extract-integers": ["extract-integers", "{ints}"],
+    "scan": ["scan", "{z7}"],
+    "inequality": ["inequality", "--max-n", "12"],
+    "adjudicate": ["adjudicate", "{z7}"],
+    "search": ["search", "--n", "5", "--s", "1", "--m", "2", "--mode", "exhaustive"],
+    "prime-case": ["prime-case", "--p", "7", "--s", "1", "--trials", "3", "--seed", "2"],
+    "extremal": ["extremal", "7", "1"],
+}
+
+
+def _argv(command, tmp_path, z7_file):
+    ints = tmp_path / "ints.txt"
+    ints.write_text("1\n2\n3\n")
+    return [a.format(ints=ints, z7=z7_file) for a in COMMANDS[command]]
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_stdout_bytes_equal_output_file(command, tmp_path, z7_file, capsysbinary) -> None:
+    argv = _argv(command, tmp_path, z7_file)
+    assert main(argv) == 0
+    stdout = capsysbinary.readouterr().out
+    out = tmp_path / "report.out"
+    assert main(argv + ["-o", str(out)]) == 0
+    captured = capsysbinary.readouterr()
+    assert captured.out == b""
+    assert stdout and out.read_bytes() == stdout
+
+
+_FINDING = Finding(elements=((1,),), m=1, extraction_size=0, exact_max_size=1,
+                   extraction_below_bound=True, max_below_bound=False)
+
+#: subcommand -> (cli function to falsify, fields replaced in its result, stderr)
+FAILURES = {
+    "extract-integers": ("extract_sum_free_subset", {"subset_sum_free": False},
+                         "extraction failed verification\n"),
+    "prime-case": ("prime_case_check", {"all_extractions_beat": False},
+                   "prime-case check failed\n"),
+    "extremal": ("tightness_instance", {"matched": False},
+                 "tightness instance failed to match\n"),
+    "search": ("counterexample_search", {"findings": (_FINDING,)},
+               "1 finding(s) recorded\n"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(FAILURES))
+def test_failed_check_exit_and_stderr(command, tmp_path, z7_file, monkeypatch, capsys) -> None:
+    name, changes, err = FAILURES[command]
+    real = getattr(climod, name)
+    monkeypatch.setattr(climod, name,
+                        lambda *a, **k: dataclasses.replace(real(*a, **k), **changes))
+    assert main(_argv(command, tmp_path, z7_file)) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["schema"] == 1  # the report is still written
+    assert captured.err == err

@@ -92,6 +92,13 @@ CASES = {
     "extract-integers-sampled": (["extract-integers", "{ints_sampled}", "--sample", "3000",
                                   "--seed", "11"],
                                  "822f1972e4b7754876703683c4a2bcadd1bb55b2cc768b1923d78c21435891a1"),
+    # the next three recorded before the reports moved onto one field-driven encoder
+    "inequality-csv": (["inequality", "--max-n", "30"],
+                       "a7f5a5d403f4f2768d28a835c091cb9138c351cc23842e57ce58ba4ab6ba4d56"),
+    "extremal-z7": (["extremal", "7", "1"],
+                    "4edc62a17da50527b8a2cc7df9c5078e16a740abaea5ddf47bfe4dbb3e765988"),
+    "extremal-z13x2": (["extremal", "13", "2"],
+                       "00e2df37693658ab4c6bec4de96712378bf25cfc6bed2b56b9eaa5940eb4e279"),
 }
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import naive
 import sumfreelab.integers as integers
+from sumfreelab import jsonio
 from sumfreelab.integers import (
     PrimeChoice,
     best_column,
@@ -214,16 +215,16 @@ def test_column_totals_identity() -> None:
 
 
 def test_extract_frozen_records() -> None:
-    assert extract_sum_free_subset([1, 2, 3]).to_record() == {
+    assert jsonio.integer_extraction_to_dict(extract_sum_free_subset([1, 2, 3])) == {
         "schema": 1, "p": 11, "k": 3, "x": 2,
         "indices": [1, 2], "size": 2, "verified": True,
     }
-    assert extract_sum_free_subset([1]).to_record() == {
+    assert jsonio.integer_extraction_to_dict(extract_sum_free_subset([1])) == {
         "schema": 1, "p": 5, "k": 1, "x": 2,
         "indices": [0], "size": 1, "verified": True,
     }
     ex = extract_sum_free_subset([2, 2, 2])
-    assert ex.to_record() == {
+    assert jsonio.integer_extraction_to_dict(ex) == {
         "schema": 1, "p": 5, "k": 1, "x": 1,
         "indices": [0, 1, 2], "size": 3, "verified": True,
     }
