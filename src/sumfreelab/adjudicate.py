@@ -245,6 +245,8 @@ def prime_case_check(
         raise ValueError(f"{p} is not prime")
     if trials < 1:
         raise ValueError("at least one trial required")
+    if m_max < 1:
+        raise ValueError(f"m_max (--m-max on the command line) must be at least 1, not {m_max}")
     spec = GroupSpec(p, s)
     w1 = scan_windows(p)[0]
     ratio = Fraction(w1.size, p)

@@ -64,13 +64,15 @@ def load_group_sequence(text: str) -> GroupSequence:
     data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError("group file must hold a JSON object")
-    if data.get("schema") != SCHEMA:
-        raise ValueError(f"unsupported schema {data.get('schema')!r}")
+    # JSON true/false load as bool, a subclass of int, so they are refused by type.
+    schema = data.get("schema")
+    if type(schema) is not int or schema != SCHEMA:
+        raise ValueError(f"unsupported schema {schema!r}")
     for key in ("n", "s", "elements"):
         if key not in data:
             raise ValueError(f"group file missing {key!r}")
     n, s = data["n"], data["s"]
-    if not isinstance(n, int) or not isinstance(s, int):
+    if type(n) is not int or type(s) is not int:
         raise ValueError("n and s must be integers")
     elements = data["elements"]
     if not isinstance(elements, list) or not all(isinstance(e, list) for e in elements):

@@ -19,6 +19,13 @@ chunk's scratch is at most _CHUNK_CELLS cells.  All counting is integer
 exact, and reports merge block results in a fixed order, so any worker
 count produces the identical report.  Sampled scans, of groups and of
 integers alike, all run through one chunked kernel, `_sampled_tallies`.
+Its multipliers are exactly sorted(random.Random(seed).sample(...)).
+`_draw_multipliers` reproduces them in numpy, by loading the seeded
+Mersenne Twister state into numpy's MT19937 and replaying CPython's
+getrandbits words and random.sample's set-branch rejections.  It calls
+random.sample itself only where that takes its pool branch (a small
+population).  So the sampled bytes depend on CPython's random.sample
+and getrandbits algorithms, which tests compare against the numpy draw.
 """
 
 from __future__ import annotations
@@ -201,7 +208,7 @@ def _tally(
     return _Tally(
         grand=weight * int(counts.sum(dtype=np.int64)),
         hist=weight * np.bincount(counts, minlength=len(row_totals) + 1),
-        best_idx=columns[i],
+        best_idx=int(columns[i]),
         best_count=int(counts[i]),
         row_totals=weight * row_totals,
         zero_count=int(counts[0]) if columns[0] == 0 else None,
@@ -380,6 +387,73 @@ def dots_fit_int64(width: int, base: int, n: int) -> bool:
     return width * (base - 1) * (n - 1) < 2**63
 
 
+#: Draws per read of the numpy generator in `_draw_multipliers`, so its
+#: scratch beyond the sample itself stays small.
+_DRAW_CHUNK = 1 << 16
+
+
+def _draw_multipliers(size: int, count: int, seed: int) -> np.ndarray:
+    """sorted(random.Random(seed).sample(range(1, size), count)) as int64.
+
+    For a population too large for its pool branch, random.sample keeps
+    the first `count` distinct values of _randbelow(size - 1).  That
+    stream is replayed in numpy: the seeded state of random.Random goes
+    into a numpy MT19937, whose raw output is CPython's 32-bit words.
+    With k the bit length of size - 1, getrandbits(k) is one word
+    shifted right by 32 - k for k <= 32, and otherwise a low word and
+    then a high word shifted right by 64 - k; draws of size - 1 or more
+    are rejected.  Each round takes as many draws as values are still
+    missing, so every new value it finds is kept.  This follows
+    CPython's random.sample and getrandbits algorithms; the pool branch
+    keeps the Python call.
+    """
+    n = size - 1
+    if count == n:
+        return np.arange(1, size, dtype=np.int64)
+    pool = 21 + (4 ** math.ceil(math.log(count * 3, 4)) if count > 5 else 0)
+    rng = random.Random(seed)
+    if n <= pool:
+        return np.array(sorted(rng.sample(range(1, size), count)), dtype=np.int64)
+    from numpy.random import MT19937  # not imported by `import numpy`; ~9 ms
+
+    *key, pos = rng.getstate()[1]
+    mt = MT19937()
+    mt.state = {"bit_generator": "MT19937",
+                "state": {"key": np.array(key, dtype=np.uint32), "pos": pos}}
+    k = n.bit_length()
+
+    def below_n():
+        while True:
+            if k <= 32:
+                r = mt.random_raw(_DRAW_CHUNK) >> (32 - k)
+            else:
+                w = mt.random_raw(2 * _DRAW_CHUNK)
+                r = w[::2] | w[1::2] >> (64 - k) << 32
+            yield r[r < n].astype(np.int64)
+
+    stream = below_n()
+    picked = left = np.empty(0, dtype=np.int64)
+    while len(picked) < count:
+        batch = np.empty(count - len(picked), dtype=np.int64)
+        got = 0
+        while got < len(batch):
+            if not len(left):
+                left = next(stream)
+            take = min(len(left), len(batch) - got)
+            batch[got : got + take], left = left[:take], left[take:]
+            got += take
+        batch.sort()
+        batch = batch[np.r_[True, batch[1:] != batch[:-1]]]
+        if not len(picked):
+            picked = batch
+            continue
+        at = np.searchsorted(picked, batch)
+        fresh = picked[np.minimum(at, len(picked) - 1)] != batch
+        picked = np.insert(picked, at[fresh], batch[fresh])
+    picked += 1
+    return picked
+
+
 def _sampled_tallies(
     size: int,
     sample: int,
@@ -413,8 +487,7 @@ def _sampled_tallies(
             f"multipliers below {size} as {width} base-{base} digits times residues mod {n} "
             "can reach 2**63; the sampled scan needs exact int64 indices and dot products"
         )
-    idxs = sorted(random.Random(seed).sample(range(1, size), count))
-    multipliers = np.array(idxs, dtype=np.int64)
+    multipliers = _draw_multipliers(size, count, seed)
     rmat = np.array(rows, dtype=np.int64).T
     m = rmat.shape[1]
     counts = [np.empty(count, dtype=np.int64) for _ in windows]
@@ -431,7 +504,7 @@ def _sampled_tallies(
             hit = w.inside(dots)
             c[lo : lo + chunk] = hit.sum(axis=1)
             rt += hit.sum(axis=0)
-    return count, [_tally(c, rt, idxs) for c, rt in zip(counts, row_totals)]
+    return count, [_tally(c, rt, multipliers) for c, rt in zip(counts, row_totals)]
 
 
 def _sampled_scan(

@@ -166,3 +166,6 @@ def test_prime_case_reproducible_and_validated() -> None:
         prime_case_check(4, 1, trials=5, seed=1)
     with pytest.raises(ValueError):
         prime_case_check(7, 1, trials=0, seed=1)
+    for m_max in (0, -3):
+        with pytest.raises(ValueError, match="m_max"):
+            prime_case_check(7, 1, trials=1, seed=1, m_max=m_max)

@@ -124,6 +124,15 @@ def test_scan_errors(tmp_path, capsys) -> None:
     null = write_group(tmp_path, "null.json", 7, 1, [[3], None])
     assert main(["scan", str(null)]) == 2
     capsys.readouterr()
+    # JSON booleans are not integers, though Python's bool subclasses int.
+    for fields in ({"schema": True, "n": 7, "s": True}, {"schema": True, "n": 7, "s": 1},
+                   {"schema": 1, "n": 7, "s": True}, {"schema": 1, "n": True, "s": 1}):
+        flagged = tmp_path / "flagged.json"
+        flagged.write_text(json.dumps({**fields, "elements": [[1], [2], [3]]}))
+        assert main(["scan", str(flagged)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
 
 
 def test_scan_cap_and_sample(tmp_path, capsys) -> None:
@@ -233,6 +242,14 @@ def test_prime_case_command(capsys) -> None:
     assert rep["all_extractions_beat"] is True
     assert main(["prime-case", "--p", "4", "--s", "1", "--trials", "5", "--seed", "2"]) == 2
     capsys.readouterr()
+
+
+def test_prime_case_m_max_refused(capsys) -> None:
+    argv = ["prime-case", "--p", "7", "--s", "1", "--trials", "1", "--seed", "1", "--m-max", "0"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: m_max (--m-max on the command line) must be at least 1, not 0\n"
 
 
 def test_stdout_deterministic(z7_file, capsys) -> None:

@@ -1,6 +1,7 @@
 """Multiplier scan kernel against full enumeration, plus exact stats."""
 
 import dataclasses
+import math
 import os
 import random
 import tracemalloc
@@ -8,6 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -333,6 +335,71 @@ def test_sampled_scan_matches_recount(n, s, m, sample, seed, data) -> None:
         assert best_count == max(counts)
         assert best_x == spec.coords_of(idxs[counts.index(max(counts))])
     assert verify_report(report, seq) == []
+
+
+def _python_draw(size: int, count: int, seed: int) -> list[int]:
+    return sorted(random.Random(seed).sample(range(1, size), count))
+
+
+def _pool_limit(count: int) -> int:
+    """Largest population random.sample draws from a pool, not a set."""
+    return 21 + (4 ** math.ceil(math.log(count * 3, 4)) if count > 5 else 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    size_count=st.one_of(
+        st.tuples(st.integers(2, 500), st.integers(1, 500)),
+        st.tuples(st.sampled_from([2**32 - 1, 2**32, 2**32 + 1, 2**33, 2**63 - 1, 2**63]),
+                  st.integers(1, 3000)),
+        st.tuples(st.integers(2, 2**63), st.integers(1, 3000)),
+    ),
+    seed=st.one_of(st.integers(-10, 10), st.integers(-(2**200), 2**200)),
+)
+@example(size_count=(23, 5), seed=1)
+@example(size_count=(2, 1), seed=0)
+@example(size_count=(2**32, 1000), seed=-5)
+@example(size_count=(2**32 + 1, 1000), seed=7)
+@example(size_count=(2**32 - 1, 3000), seed=10**30)
+@example(size_count=(2**63, 5000), seed=2)
+@example(size_count=(4000**2, 20000), seed=11)
+def test_draw_matches_random_sample(size_count, seed) -> None:
+    # The numpy draw replays CPython's random.sample bit for bit; a change
+    # to CPython's sample or getrandbits shows up here, not as new bytes.
+    size, count = size_count
+    count = min(count, size - 1)
+    drawn = scanner._draw_multipliers(size, count, seed)
+    assert drawn.dtype == np.int64
+    assert drawn.tolist() == _python_draw(size, count, seed)
+
+
+@pytest.mark.parametrize("count", [1, 5, 6, 7, 21, 100, 1000, 3000])
+def test_draw_at_pool_switch(count) -> None:
+    # size - 1 is the population, so these sizes straddle the pool/set switch.
+    limit = _pool_limit(count)
+    for size in range(limit - 1, limit + 4):
+        for seed in (0, -1, 2**100):
+            assert scanner._draw_multipliers(size, count, seed).tolist() == _python_draw(
+                size, count, seed
+            )
+
+
+def test_draw_collision_heavy() -> None:
+    # 40 000 of 299 999: the set branch, with thousands of repeats to redraw.
+    assert scanner._draw_multipliers(300_000, 40_000, 3).tolist() == _python_draw(300_000, 40_000, 3)
+
+
+def test_draw_memory_is_bounded() -> None:
+    # 10^6 two-word draws: the Python draw peaked at 111 MiB under tracemalloc.
+    tracemalloc.start()
+    try:
+        drawn = scanner._draw_multipliers(2**62, 10**6, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert len(drawn) == 10**6 and drawn[0] >= 1 and drawn[-1] < 2**62
+    assert (np.diff(drawn) > 0).all()
 
 
 def test_scan_cap_refusal() -> None:
