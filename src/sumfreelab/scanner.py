@@ -197,7 +197,7 @@ _CHUNK_CELLS = 1 << 18
 
 
 def _tally(
-    counts: np.ndarray, row_totals: np.ndarray, columns: Sequence[int], weight: int = 1
+    counts: np.ndarray, row_totals: np.ndarray, columns: Sequence[int] | np.ndarray, weight: int = 1
 ) -> _Tally:
     """Summarize per-column counts; columns[i] is the group index of counts[i].
 

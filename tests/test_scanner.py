@@ -386,7 +386,8 @@ def test_draw_at_pool_switch(count) -> None:
 
 def test_draw_collision_heavy() -> None:
     # 40 000 of 299 999: the set branch, with thousands of repeats to redraw.
-    assert scanner._draw_multipliers(300_000, 40_000, 3).tolist() == _python_draw(300_000, 40_000, 3)
+    drawn = scanner._draw_multipliers(300_000, 40_000, 3)
+    assert drawn.tolist() == _python_draw(300_000, 40_000, 3)
 
 
 def test_draw_memory_is_bounded() -> None:
