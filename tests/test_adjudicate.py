@@ -3,12 +3,17 @@
 import importlib
 import random
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 # the package exports a function called `adjudicate`, which shadows the
 # submodule attribute, so fetch the module itself for monkeypatching
 adjmod = importlib.import_module("sumfreelab.adjudicate")
+from sumfreelab import groups as groups_mod
 from sumfreelab.adjudicate import (
     CounterexampleQuery,
     adjudicate,
@@ -18,7 +23,7 @@ from sumfreelab.adjudicate import (
     prime_case_check,
 )
 from sumfreelab.groups import GroupSequence, GroupSpec
-from sumfreelab.scanner import GroupExtraction, divisor_profile
+from sumfreelab.scanner import GroupExtraction, divisor_profile, extract_sum_free_group
 
 
 def _random_sequence(rng, n, s, m) -> GroupSequence:
@@ -120,16 +125,30 @@ def test_query_validation() -> None:
         CounterexampleQuery(n=7, s=1, m=3, mode="exhaustive", budget=0)
 
 
-def test_finding_categories_stay_separate(monkeypatch) -> None:
-    # Force the extractor to report an empty pullback: the finding must
-    # blame the method, while the oracle cross-check must keep the exact
-    # maximum and decline to call it a counterexample to the bound.
-    def broken_extract(seq, report=None, **kwargs):
-        return GroupExtraction(
-            multiplier=(0,), window_index=1, indices=(), size=0,
-            verified_sum_free=True, beats_two_sevenths=False)
+def _broken_extract(seq, report=None, **kwargs):
+    return GroupExtraction(
+        multiplier=(0,), window_index=1, indices=(), size=0,
+        verified_sum_free=True, beats_two_sevenths=False)
 
-    monkeypatch.setattr(adjmod, "extract_sum_free_group", broken_extract)
+
+def _zero_sizes(monkeypatch) -> None:
+    """Make the batched kernel report extraction size 0 for every instance."""
+    walk = adjmod._exhaustive_walk
+
+    def zero_walk(*args):
+        for batch, sizes in walk(*args):
+            yield batch, np.zeros_like(sizes)
+
+    monkeypatch.setattr(adjmod, "_exhaustive_walk", zero_walk)
+
+
+def test_finding_categories_stay_separate(monkeypatch) -> None:
+    # Force the extractor to report an empty pullback, in the batched
+    # kernel and in the verified re-run alike: the finding must blame the
+    # method, while the oracle cross-check must keep the exact maximum
+    # and decline to call it a counterexample to the bound.
+    monkeypatch.setattr(adjmod, "extract_sum_free_group", _broken_extract)
+    _zero_sizes(monkeypatch)
     q = CounterexampleQuery(n=7, s=1, m=2, mode="exhaustive", budget=10**4)
     res = counterexample_search(q)
     assert res.instances == 27  # 6 + 21
@@ -138,6 +157,105 @@ def test_finding_categories_stay_separate(monkeypatch) -> None:
         assert f.extraction_below_bound
         assert f.exact_max_size is not None and f.exact_max_size >= 1
         assert not f.max_below_bound  # the bound itself never implicated
+
+
+@pytest.mark.parametrize("broken", ["kernel", "extractor"])
+def test_search_raises_when_kernel_and_scan_disagree(monkeypatch, broken) -> None:
+    if broken == "kernel":
+        _zero_sizes(monkeypatch)
+    else:
+        # The kernel's sizes are right, so re-run every instance on the
+        # verified path, where the broken extractor then disagrees.
+        monkeypatch.setattr(adjmod, "extract_sum_free_group", _broken_extract)
+        monkeypatch.setattr(adjmod, "_at_or_below", lambda size, m: True)
+    q = CounterexampleQuery(n=7, s=1, m=2, mode="exhaustive", budget=10**4)
+    with pytest.raises(RuntimeError, match="disagrees with the verified scan"):
+        counterexample_search(q)
+
+
+def _small_group(data) -> GroupSpec:
+    """Z_n^s with n from 2 to 13 and s from 1 to 3, small enough that its
+    hit table is within SEARCH_TABLE_CELLS."""
+    s = data.draw(st.integers(1, 3), label="s")
+    n = data.draw(st.integers(2, {1: 13, 2: 13, 3: 7}[s]), label="n")
+    spec = GroupSpec(n, s)
+    assert (spec.size - 1) * 2 * spec.size <= adjmod.SEARCH_TABLE_CELLS
+    return spec
+
+
+def _extract_size(spec, elements) -> int:
+    return extract_sum_free_group(GroupSequence(spec, elements)).size
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_exhaustive_walk_matches_scans(data) -> None:
+    spec = _small_group(data)
+    m = data.draw(st.integers(1, 6).filter(
+        lambda m: adjmod._multiset_count(spec.size - 1, m) <= 400), label="m")
+    cells = data.draw(st.sampled_from([1, 64, adjmod._CHUNK_CELLS]), label="chunk cells")
+    with mock.patch.object(adjmod, "_CHUNK_CELLS", cells):
+        chunks = list(adjmod._exhaustive_walk(spec, adjmod._hit_table(spec, m), m))
+    walked = [elements for batch, _ in chunks for elements in batch]
+    assert walked == list(adjmod._exhaustive_instances(spec, m))
+    sizes = [size for _, batch_sizes in chunks for size in batch_sizes.tolist()]
+    assert sizes == [_extract_size(spec, elements) for elements in walked]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_random_chunks_match_scans(data) -> None:
+    spec = _small_group(data)
+    # A small pool of entries, so instances repeat entries.
+    pool = data.draw(st.lists(st.integers(1, spec.size - 1).map(spec.coords_of),
+                              min_size=1, max_size=4), label="pool")
+    m = data.draw(st.integers(1, 40), label="m")
+    instances = data.draw(st.lists(st.lists(st.sampled_from(pool), min_size=m, max_size=m)
+                                   .map(tuple), min_size=1, max_size=8), label="instances")
+    cells = data.draw(st.sampled_from([1, 100, adjmod._CHUNK_CELLS]), label="chunk cells")
+    with mock.patch.object(adjmod, "_CHUNK_CELLS", cells):
+        chunks = list(adjmod._random_chunks(spec, adjmod._hit_table(spec, m), iter(instances)))
+    assert [elements for batch, _ in chunks for elements in batch] == instances
+    sizes = [size for _, batch_sizes in chunks for size in batch_sizes.tolist()]
+    assert sizes == [_extract_size(spec, elements) for elements in instances]
+
+
+def test_hit_table_rows_checked(monkeypatch) -> None:
+    spec = GroupSpec(6, 2)
+    table = adjmod._hit_table(spec, 3)
+    assert table.shape == (35, 2 * 36) and table.dtype == np.uint8
+    assert adjmod._hit_table(spec, 300).dtype == np.uint16
+    # Bitmaps hitting every residue break the row totals.
+    monkeypatch.setattr(groups_mod.Window, "bitmap", lambda self: np.ones(6, dtype=np.uint8))
+    with pytest.raises(RuntimeError, match="row totals"):
+        adjmod._hit_table(spec, 3)
+    # Mod 7 every row hits each residue once, so moving a member to 0
+    # keeps the row totals and shows only in the zero column.
+    shifted = np.array([1, 0, 0, 1, 0, 0, 0], dtype=np.uint8)  # {0, 3} for {3, 4}
+    monkeypatch.setattr(groups_mod.Window, "bitmap", lambda self: shifted)
+    with pytest.raises(RuntimeError, match="zero-multiplier"):
+        adjmod._hit_table(GroupSpec(7, 1), 3)
+
+
+_CAP_CASES = {
+    "z7-exhaustive": CounterexampleQuery(n=7, s=1, m=4, mode="exhaustive", budget=10**4),
+    "z6x2-random": CounterexampleQuery(n=6, s=2, m=5, mode="random", budget=40, seed=4),
+}
+
+
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("case", sorted(_CAP_CASES))
+def test_table_cap_sides_agree(monkeypatch, case, forced) -> None:
+    query = _CAP_CASES[case]
+    if forced:
+        # Every instance is then a finding, so every Finding field is compared.
+        monkeypatch.setattr(adjmod, "_at_or_below", lambda size, m: True)
+    batched = counterexample_search(query)
+    monkeypatch.setattr(adjmod, "SEARCH_TABLE_CELLS", 0)
+    monkeypatch.setattr(adjmod, "_hit_table", None)  # the per-instance path must not need it
+    per_instance = counterexample_search(query)
+    assert per_instance == batched
+    assert len(batched.findings) == (batched.instances if forced else 0)
 
 
 def test_prime_case_frozen() -> None:

@@ -81,6 +81,19 @@ CASES = {
     "search-random": (["search", "--n", "6", "--s", "2", "--m", "5", "--mode", "random",
                        "--budget", "20", "--seed", "4"],
                       "0907e1f86fd251458f996d94f903107ea7c1885ea6e675328bcc01ebfde9d3f4"),
+    # the next five recorded before searches moved onto the batched hit-table kernel
+    "search-z7-m6": (["search", "--n", "7", "--s", "1", "--m", "6", "--mode", "exhaustive"],
+                     "ec7efd9b86ac05005a3138c8592fd741fe18914a1ed8e5d6582514f82747b521"),
+    "search-z8-m5": (["search", "--n", "8", "--s", "1", "--m", "5", "--mode", "exhaustive"],
+                     "a07d338adcc54f4c24d6f09095eaeb6b94a6701d8cb47ba21fbd9c073275bdf5"),
+    "search-z13-m4": (["search", "--n", "13", "--s", "1", "--m", "4", "--mode", "exhaustive"],
+                      "193354654d920e84125fd5faa6a624a2be089543868c8c893781f36d944e821a"),
+    "search-z10x2-m30": (["search", "--n", "10", "--s", "2", "--m", "30", "--mode", "random",
+                          "--budget", "100", "--seed", "3"],
+                         "a4978e1819791a802d8585590bf324ccc8e5c047481f638a6ca216e00d5438b5"),
+    "search-z12x2-m20": (["search", "--n", "12", "--s", "2", "--m", "20", "--mode", "random",
+                          "--budget", "5", "--seed", "20260818"],
+                         "4425dc1372120d8fb97e2665fb6e24ff87b9be30a6de454d13df06fbd100aedf"),
     "extract-integers-c01": (["extract-integers", "{ints_c01}"],
                              "a676385dabeccc3785f551df6f28ceeb7120373c157b3b83f5136bcdfa049c0a"),
     "extract-integers-wide": (["extract-integers", "{ints_wide}"],
