@@ -8,21 +8,16 @@ preferring either reading.  The searches then hunt for inputs where the
 certified density fails, keeping "our extractor fell short" strictly
 apart from "the density bound itself is wrong".
 
-A search scores every instance with one batched kernel over a per-group
-hit table H: row b - 1 holds, for every window of scan_windows(n) and
-every multiplier x, whether x . b lies in the window.  An instance's
-column counts are the sum of its entries' rows, and their largest value
-is exactly the size `extract_sum_free_group` would extract.  H is built
-and checked once per search, against the exact row totals and the zero
-column that `verify_report` holds every exhaustive scan to.  Exhaustive
-mode walks the multiset tree level by level, each child being its
-parent's counts plus one row; random mode sums the rows of a chunk of
-seeded instances.  The exact oracle still runs on every instance of at
-most EXACT_SEARCH_LIMIT entries, in instance order, and any instance at
-or below 2m/7 is re-run through the verified per-instance path
-(`_evaluate`: full scan, pullback and sum-free check), which must agree
-with the kernel.  Groups whose table would exceed SEARCH_TABLE_CELLS
-cells take that per-instance path for every instance.
+A search scores instances over a per-group hit table H: row b - 1
+holds, for every window of scan_windows(n) and every multiplier x,
+whether x . b lies in the window.  An instance's largest column count,
+the sum of its entries' rows, is the size `extract_sum_free_group`
+extracts.  H's dot products come from the scan core, and `verify_report`
+checks it as the scan of all nonzero elements.  Groups whose table would
+exceed SEARCH_TABLE_CELLS cells extract each instance instead.  Every
+instance then goes through one loop: the exact oracle for at most
+EXACT_SEARCH_LIMIT entries, in instance order, and, at or below 2m/7, a
+re-run through the verified path (`_evaluate`), which must agree.
 """
 
 from __future__ import annotations
@@ -43,9 +38,14 @@ from .scanner import (
     _CHUNK_CELLS,
     GroupExtraction,
     ScanReport,
+    _dots,
+    _report,
+    _tally,
+    divisor_profile,
     extract_sum_free_group,
     full_scan,
     scan_windows,
+    verify_report,
 )
 
 
@@ -155,8 +155,18 @@ class SearchResult:
     findings: tuple[Finding, ...]
 
 
-def _multiset_count(q: int, m: int) -> int:
-    return sum(math.comb(q + k - 1, k) for k in range(1, m + 1))
+def _multiset_count(q: int, m: int, cap: float = math.inf) -> int:
+    """Multisets of length 1..m over q elements; once that passes `cap`,
+    the first partial count above it.  Each length adds at least one."""
+    if m > cap:
+        return m
+    total, term = 0, 1
+    for k in range(1, m + 1):
+        term = term * (q + k - 1) // k  # C(q + k - 1, k)
+        total += term
+        if total > cap:
+            break
+    return total
 
 
 def _exhaustive_instances(spec: GroupSpec, m: int) -> Iterator[tuple[Element, ...]]:
@@ -172,57 +182,47 @@ def _at_or_below(size: int, m: int) -> bool:
 
 
 def _evaluate(
-    spec: GroupSpec, elements: tuple[Element, ...], witness: SumFreeWitness | None = None
-) -> Finding | None:
-    """The verified per-instance path: full scan, pullback, sum-free check
-    and, for at most EXACT_SEARCH_LIMIT entries, the exact oracle (whose
-    `witness` is reused when the caller already has it)."""
-    seq = GroupSequence(spec, elements)
-    extraction = extract_sum_free_group(seq)
+    spec: GroupSpec, elements: tuple[Element, ...], witness: SumFreeWitness | None
+) -> Finding:
+    """An instance's Finding from the verified path (full scan, pullback,
+    sum-free check) and the oracle's `witness`, None above
+    EXACT_SEARCH_LIMIT entries."""
+    extraction = extract_sum_free_group(GroupSequence(spec, elements))
     m = len(elements)
-    if witness is None and m <= EXACT_SEARCH_LIMIT:
-        witness = max_sum_free(list(elements), add=spec.add)
     exact_size = None if witness is None else witness.size
-    ext_below = _at_or_below(extraction.size, m)
-    max_below = exact_size is not None and _at_or_below(exact_size, m)
-    if ext_below or max_below:
-        return Finding(
-            elements=elements,
-            m=m,
-            extraction_size=extraction.size,
-            exact_max_size=exact_size,
-            extraction_below_bound=ext_below,
-            max_below_bound=max_below,
-        )
-    return None
+    return Finding(
+        elements=elements,
+        m=m,
+        extraction_size=extraction.size,
+        exact_max_size=exact_size,
+        extraction_below_bound=_at_or_below(extraction.size, m),
+        max_below_bound=exact_size is not None and _at_or_below(exact_size, m),
+    )
 
 
-#: Groups whose hit table would have more cells than this are searched
-#: one verified instance at a time instead.
+#: Groups whose hit table would have more cells than this extract each
+#: instance with a scan instead.
 SEARCH_TABLE_CELLS = _CHUNK_CELLS
 
 
 def _hit_table(spec: GroupSpec, m: int) -> np.ndarray:
     """H[b - 1, j * q + x] = [x . b lies in window j], for the q elements x
     and the nonzero elements b of Z_n^s, in the narrowest dtype holding m.
-
-    Raises unless H obeys the exact rules `verify_report` checks on every
-    exhaustive scan: row b hits window j exactly d * n^(s-1) * (multiples
-    of d in the window) times, d = gcd(n, b), and column 0 never hits.
+    Raises unless `verify_report` passes H as the scan of every b.
     """
     n, s, q = spec.n, spec.s, spec.size
-    digits = np.arange(q)[:, None] // n ** np.arange(s - 1, -1, -1) % n
-    dots = digits[1:] @ digits.T % n
+    seq = GroupSequence(spec, tuple(map(spec.coords_of, range(1, q))))
+    dots = _dots(np.array(seq.elements), 0, n, n, np.min_scalar_type(s * (n - 1)))
     windows = scan_windows(n)
-    table = np.concatenate([w.bitmap()[dots] for w in windows], axis=1)
+    table = np.concatenate([np.tile(w.bitmap(), s)[dots] for w in windows], axis=1)
     table = table.astype(np.min_scalar_type(m))
-    gcds = np.gcd.reduce(np.column_stack([digits[1:], np.full(q - 1, n)]), axis=1)
-    want = {d: [d * n ** (s - 1) * w.count_multiples(d) for w in windows] for d in set(gcds.tolist())}
-    totals = table.reshape(q - 1, len(windows), q).sum(axis=2, dtype=np.int64)
-    if (totals != np.array([want[d] for d in gcds.tolist()])).any():
-        raise RuntimeError(f"hit table of Z_{n}^{s} breaks the exact row totals")
-    if table[:, ::q].any():
-        raise RuntimeError(f"hit table of Z_{n}^{s} has zero-multiplier hits")
+    tallies = [
+        _tally(hits.sum(axis=0, dtype=np.int64), hits.sum(axis=1, dtype=np.int64), range(q))
+        for hits in np.hsplit(table, len(windows))
+    ]
+    problems = verify_report(_report(seq, divisor_profile(seq), tallies, workers=1), seq)
+    if problems:
+        raise RuntimeError(f"hit table of Z_{n}^{s}: {problems[0]} (of {len(problems)} problems)")
     return table
 
 
@@ -289,61 +289,50 @@ def _random_chunks(
         yield batch, counts.max(axis=1)
 
 
-def counterexample_search(query: CounterexampleQuery, spec: GroupSpec | None = None) -> SearchResult:
+def counterexample_search(query: CounterexampleQuery) -> SearchResult:
     """Hunt for instances at or below the 2/7 density, per the query.
 
     Exhaustive mode enumerates every nonzero multiset up to the target
     length (refusing if that count exceeds the budget); random mode
     draws budget sequences of exactly the target length.
     """
-    if spec is None:
-        spec = GroupSpec(query.n, query.s)
-    if (spec.n, spec.s) != (query.n, query.s):
-        raise ValueError("group spec disagrees with the query")
+    spec = GroupSpec(query.n, query.s)
     complete = query.mode == "exhaustive"
     if complete:
-        total = _multiset_count(spec.size - 1, query.m)
+        total = _multiset_count(spec.size - 1, query.m, query.budget)
         if total > query.budget:
             raise ValueError(
-                f"exhaustive search needs {total} instances, above the "
+                f"exhaustive search needs at least {total} instances, above the "
                 f"budget {query.budget}"
             )
         instances = _exhaustive_instances(spec, query.m)
     else:
         instances = _random_instances(spec, query.m, query.budget, query.seed)
+    if (spec.size - 1) * len(scan_windows(spec.n)) * spec.size > SEARCH_TABLE_CELLS:
+        chunks = (
+            ([e], np.array([extract_sum_free_group(GroupSequence(spec, e)).size]))
+            for e in instances
+        )
+    elif complete:
+        chunks = _exhaustive_walk(spec, _hit_table(spec, query.m), query.m)
+    else:
+        chunks = _random_chunks(spec, _hit_table(spec, query.m), instances)
     findings: list[Finding] = []
     checked = oracle_checked = 0
-    if (spec.size - 1) * len(scan_windows(spec.n)) * spec.size > SEARCH_TABLE_CELLS:
-        for elements in instances:
-            f = _evaluate(spec, elements)
+    for batch, sizes in chunks:
+        for elements, size in zip(batch, sizes.tolist()):
+            m = len(elements)
+            exact = m <= EXACT_SEARCH_LIMIT
+            witness = max_sum_free(list(elements), add=spec.add) if exact else None
             checked += 1
-            oracle_checked += len(elements) <= EXACT_SEARCH_LIMIT
-            if f is not None:
+            oracle_checked += exact
+            if _at_or_below(size, m) or (witness is not None and _at_or_below(witness.size, m)):
+                f = _evaluate(spec, elements, witness)
+                if f.extraction_size != size:
+                    raise RuntimeError(
+                        f"search size {size} of {elements} disagrees with the verified scan"
+                    )
                 findings.append(f)
-    else:
-        table = _hit_table(spec, query.m)
-        if complete:
-            chunks = _exhaustive_walk(spec, table, query.m)
-        else:
-            chunks = _random_chunks(spec, table, instances)
-        for batch, sizes in chunks:
-            for elements, size in zip(batch, sizes.tolist()):
-                m = len(elements)
-                witness = None
-                if m <= EXACT_SEARCH_LIMIT:
-                    witness = max_sum_free(list(elements), add=spec.add)
-                    oracle_checked += 1
-                checked += 1
-                if _at_or_below(size, m) or (
-                    witness is not None and _at_or_below(witness.size, m)
-                ):
-                    f = _evaluate(spec, elements, witness)
-                    if f is None or f.extraction_size != size:
-                        raise RuntimeError(
-                            f"batched extraction size {size} of {elements} disagrees "
-                            "with the verified scan"
-                        )
-                    findings.append(f)
 
     findings.sort(key=lambda f: (f.m, f.elements))
     return SearchResult(

@@ -9,8 +9,9 @@ The exhaustive kernel, `_scan_block`, splits the multiplier columns
 into blocks by first digit.  When every window is negation-closed
 (whenever 3 does not divide n), column -x counts what x counts, so only
 first digits 0 to n/2 are scanned and the digits between count twice.
-Within a block it never materializes the multiplier tuples.  For a
-chunk of sequence entries it builds the dot products one coordinate at
+Within a block it never materializes the multiplier tuples.  Its dot
+builder, `_dots`, which also builds the search's hit table in
+`adjudicate`, makes a chunk of entries' dot products one coordinate at
 a time as broadcast sums of per-coordinate terms, each reduced mod n.
 The sum is left unreduced: it stays below s*n, so it indexes a window
 table tiled s times, in the narrowest unsigned dtype that holds
@@ -247,6 +248,21 @@ def _column_blocks(n: int, s: int, windows: Sequence[Window]) -> list[tuple[int,
     return [(d, min(d + step, hi), w) for lo, hi, w in ranges for d in range(lo, hi, step)]
 
 
+def _dots(b: np.ndarray, d0: int, d1: int, n: int, index_dtype: np.dtype) -> np.ndarray:
+    """Dot products x . b, unreduced below s*n, of the int64 entries b
+    with the columns x whose first digit is in [d0, d1), in index order."""
+    s = b.shape[1]
+    # Prepend coordinates last to first, so each broadcast sum runs its
+    # inner loop over the long table built so far.
+    dots = np.zeros((len(b), 1), dtype=index_dtype)
+    for j in reversed(range(s)):
+        x = np.arange(n) if j else np.arange(d0, d1)
+        term = (np.multiply.outer(b[:, j], x) % n).astype(index_dtype)
+        dots = np.add(term[:, :, None], dots[:, None, :], dtype=index_dtype)
+        dots = dots.reshape(len(b), -1)
+    return dots
+
+
 def _scan_block(
     block: tuple[int, int, int],
     rows: np.ndarray,
@@ -257,11 +273,7 @@ def _scan_block(
 ) -> list[_Tally]:
     """Exact tallies, per window, of block (d0, d1, weight): the columns
     whose first digit is in [d0, d1), each standing for `weight` columns.
-
-    rows is the m x s sequence.  A chunk of entries at a time, the dot
-    products are built one coordinate at a time as broadcast sums of
-    per-coordinate terms, each already reduced mod n, so a dot product is
-    left unreduced below s*n and indexes a window table tiled s times.
+    rows is the m x s sequence, scanned a chunk of entries at a time.
     """
     d0, d1, weight = block
     m, s = rows.shape
@@ -270,22 +282,16 @@ def _scan_block(
     counts = [np.zeros(width, dtype=count_dtype) for _ in tables]
     row_totals = [np.empty(m, dtype=np.int64) for _ in tables]
     row_dtype = np.min_scalar_type(width)
-    digits = np.arange(d0, d1, dtype=np.int64)
-    residues = np.arange(n if s > 1 else 0, dtype=np.int64)
     chunk = max(1, _CHUNK_CELLS // width)
     for lo in range(0, m, chunk):
-        b = rows[lo : lo + chunk]
-        # Prepend coordinates last to first, so each broadcast sum runs
-        # its inner loop over the long table built so far.
-        dots = np.zeros((len(b), 1), dtype=index_dtype)
-        for j in reversed(range(s)):
-            term = (np.multiply.outer(b[:, j], residues if j else digits) % n).astype(index_dtype)
-            dots = np.add(term[:, :, None], dots[:, None, :], dtype=index_dtype)
-            dots = dots.reshape(len(b), -1)
+        dots = _dots(rows[lo : lo + chunk], d0, d1, n, index_dtype)
         for table, c, rt in zip(tables, counts, row_totals):
             hit = np.take(table, dots)
             c += hit.sum(axis=0, dtype=count_dtype)
             rt[lo : lo + chunk] = hit.sum(axis=1, dtype=row_dtype)
+        # Drop this chunk's dot products before building the next: held
+        # across that call, they made glibc re-fault its heap every chunk.
+        del dots
     columns = range(d0 * low, d1 * low)
     return [_tally(c, rt, columns, weight) for c, rt in zip(counts, row_totals)]
 

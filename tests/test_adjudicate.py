@@ -227,13 +227,13 @@ def test_hit_table_rows_checked(monkeypatch) -> None:
     assert adjmod._hit_table(spec, 300).dtype == np.uint16
     # Bitmaps hitting every residue break the row totals.
     monkeypatch.setattr(groups_mod.Window, "bitmap", lambda self: np.ones(6, dtype=np.uint8))
-    with pytest.raises(RuntimeError, match="row totals"):
+    with pytest.raises(RuntimeError, match="window-1 total"):
         adjmod._hit_table(spec, 3)
     # Mod 7 every row hits each residue once, so moving a member to 0
     # keeps the row totals and shows only in the zero column.
     shifted = np.array([1, 0, 0, 1, 0, 0, 0], dtype=np.uint8)  # {0, 3} for {3, 4}
     monkeypatch.setattr(groups_mod.Window, "bitmap", lambda self: shifted)
-    with pytest.raises(RuntimeError, match="zero-multiplier"):
+    with pytest.raises(RuntimeError, match="zero multiplier shows"):
         adjmod._hit_table(GroupSpec(7, 1), 3)
 
 
@@ -250,10 +250,27 @@ def test_table_cap_sides_agree(monkeypatch, case, forced) -> None:
     if forced:
         # Every instance is then a finding, so every Finding field is compared.
         monkeypatch.setattr(adjmod, "_at_or_below", lambda size, m: True)
+    spec = GroupSpec(query.n, query.s)
+    if query.mode == "exhaustive":
+        instances = list(adjmod._exhaustive_instances(spec, query.m))
+    else:
+        instances = list(adjmod._random_instances(spec, query.m, query.budget, query.seed))
+    assert max(map(len, instances)) <= adjmod.EXACT_SEARCH_LIMIT
+    oracle, calls = adjmod.max_sum_free, []
+
+    def counted(values, **kwargs):
+        calls.append(tuple(values))
+        return oracle(values, **kwargs)
+
+    monkeypatch.setattr(adjmod, "max_sum_free", counted)
     batched = counterexample_search(query)
+    # The oracle runs once per instance, in instance order, and only there.
+    assert calls == instances and batched.oracle_checked == len(calls)
+    calls.clear()
     monkeypatch.setattr(adjmod, "SEARCH_TABLE_CELLS", 0)
     monkeypatch.setattr(adjmod, "_hit_table", None)  # the per-instance path must not need it
     per_instance = counterexample_search(query)
+    assert calls == instances and per_instance.oracle_checked == len(calls)
     assert per_instance == batched
     assert len(batched.findings) == (batched.instances if forced else 0)
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import time
 
 import pytest
 
@@ -215,6 +216,16 @@ def test_search_random_and_errors(capsys) -> None:
     assert main(["search", "--n", "6", "--s", "1", "--m", "4", "--mode", "random",
                  "--budget", "5"]) == 2
     capsys.readouterr()
+
+
+def test_search_budget_refused_at_once(capsys) -> None:
+    # Each length adds at least one multiset, so m = 10**8 is above the
+    # default budget of 10**6 before any count is summed.
+    start = time.perf_counter()
+    assert main(["search", "--n", "2", "--s", "1", "--m", str(10**8),
+                 "--mode", "exhaustive"]) == 2
+    assert time.perf_counter() - start < 2
+    assert "above the budget" in capsys.readouterr().err
 
 
 def test_extremal(capsys) -> None:

@@ -170,6 +170,31 @@ def test_full_scan_matches_brute_force(n, s, m, workers, budget, seed) -> None:
     assert verify_report(report, seq) == []
 
 
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 150), s=st.integers(1, 3), m=st.integers(1, 6),
+       seed=st.integers(0, 2**16))
+# s * (n - 1) = 255 is the widest uint8 index; 258 and 298 need uint16
+@example(n=86, s=3, m=3, seed=1)
+@example(n=87, s=3, m=3, seed=2)
+@example(n=150, s=2, m=4, seed=3)
+def test_dots_match_brute_force(n, s, m, seed) -> None:
+    rng = random.Random(seed)
+    low = n ** (s - 1)
+    # Any first-digit block the kernel can ask for: at most _CHUNK_CELLS
+    # columns, or one digit.
+    d0 = rng.randrange(n)
+    d1 = rng.randint(d0 + 1, min(n, d0 + max(1, scanner._CHUNK_CELLS // low)))
+    # Rows drawn from a pool of at most three, so rows repeat.
+    pool = [tuple(rng.randrange(n) for _ in range(s)) for _ in range(rng.randint(1, 3))]
+    rows = np.array([rng.choice(pool) for _ in range(m)], dtype=np.int64)
+    index_dtype = np.min_scalar_type(s * (n - 1))
+    dots = scanner._dots(rows, d0, d1, n, index_dtype)
+    assert dots.dtype == index_dtype and dots.shape == (m, (d1 - d0) * low)
+    x = np.arange(d0 * low, d1 * low)
+    brute = sum(np.multiply.outer(rows[:, j], x // n ** (s - 1 - j) % n) for j in range(s)) % n
+    assert (np.tile(np.arange(n), s)[dots] == brute).all()
+
+
 def test_fold_scans_half_the_first_digits() -> None:
     # 3 does not divide n: digit 0, 1..ceil(n/2)-1 at weight 2 and, for
     # even n, n/2; 3 | n: every digit at weight 1.
