@@ -12,9 +12,13 @@ A search scores instances over a per-group hit table H: row b - 1
 holds, for every window of scan_windows(n) and every multiplier x,
 whether x . b lies in the window.  An instance's largest column count,
 the sum of its entries' rows, is the size `extract_sum_free_group`
-extracts.  H's dot products come from the scan core, and `verify_report`
-checks it as the scan of all nonzero elements.  Groups whose table would
-exceed SEARCH_TABLE_CELLS cells extract each instance instead.  Every
+extracts.  Exhaustive and random instances alike are drawn lazily and
+scored by one generator (`_table_chunks`), which sums gathered rows in
+chunks bounded both in counts and in entries.  H's dot products come
+from the scan core, and `verify_report` checks it as the scan of all
+nonzero elements.  Groups above DEFAULT_SCAN_CAP elements are refused
+before anything is drawn; groups whose table would exceed
+SEARCH_TABLE_CELLS cells extract each instance instead.  Every
 instance then goes through one loop: the exact oracle for at most
 EXACT_SEARCH_LIMIT entries, in instance order, and, at or below 2m/7, a
 re-run through the verified path (`_evaluate`), which must agree.
@@ -26,7 +30,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, islice
+from itertools import combinations_with_replacement, groupby, islice
 from typing import Iterator
 
 import numpy as np
@@ -36,6 +40,7 @@ from .oracle import EXACT_SEARCH_LIMIT, SumFreeWitness, max_sum_free
 from .primes import is_prime
 from .scanner import (
     _CHUNK_CELLS,
+    DEFAULT_SCAN_CAP,
     GroupExtraction,
     ScanReport,
     _dots,
@@ -226,45 +231,6 @@ def _hit_table(spec: GroupSpec, m: int) -> np.ndarray:
     return table
 
 
-def _exhaustive_walk(
-    spec: GroupSpec, table: np.ndarray, m: int
-) -> Iterator[tuple[list[tuple[Element, ...]], np.ndarray]]:
-    """Every nonzero multiset of length 1..m, in `_exhaustive_instances`
-    order, with its extraction size, a chunk at a time.
-
-    Level k + 1 is level k expanded: a child is its parent plus one entry
-    b at or after the parent's last, and its counts are the parent's
-    plus row b of the table.  Each chunk has at most _CHUNK_CELLS counts;
-    the level being expanded is held whole, as a list of such chunks.
-    """
-    pool = [spec.coords_of(i) for i in range(1, spec.size)]
-    rows, width = table.shape
-    chunk = max(1, _CHUNK_CELLS // width)
-    level = [
-        (table[lo : lo + chunk], np.arange(lo, min(lo + chunk, rows))[:, None])
-        for lo in range(0, rows, chunk)
-    ]
-    for k in range(1, m + 1):
-        for counts, entries in level:
-            yield [tuple(map(pool.__getitem__, e)) for e in entries.tolist()], counts.max(axis=1)
-        if k == m:
-            return
-        # A parent has at most `rows` children, so `step` parents fill a chunk.
-        step = max(1, chunk // rows)
-        children = []
-        for counts, entries in level:
-            for lo in range(0, len(entries), step):
-                parents = entries[lo : lo + step]
-                fanout = rows - parents[:, -1]
-                parent = np.repeat(np.arange(len(parents)), fanout)
-                start = np.cumsum(fanout) - fanout
-                b = np.arange(len(parent)) - np.repeat(start - parents[:, -1], fanout)
-                children.append(
-                    (counts[lo + parent] + table[b], np.column_stack([parents[parent], b]))
-                )
-        level = children
-
-
 def _random_instances(
     spec: GroupSpec, m: int, budget: int, seed: int | None
 ) -> Iterator[tuple[Element, ...]]:
@@ -274,19 +240,25 @@ def _random_instances(
         yield tuple(spec.random_nonzero(rng) for _ in range(m))
 
 
-def _random_chunks(
+def _table_chunks(
     spec: GroupSpec, table: np.ndarray, instances: Iterator[tuple[Element, ...]]
 ) -> Iterator[tuple[list[tuple[Element, ...]], np.ndarray]]:
-    """The instances, drawn lazily, with their extraction sizes, a chunk of
-    at most _CHUNK_CELLS counts at a time.  All have the same length."""
-    chunk = max(1, _CHUNK_CELLS // table.shape[1])
-    place = spec.n ** np.arange(spec.s - 1, -1, -1)
-    while batch := list(islice(instances, chunk)):
-        rows = np.array(batch, dtype=np.int64) @ place - 1
-        counts = np.zeros((len(batch), table.shape[1]), dtype=table.dtype)
-        for j in range(rows.shape[1]):
-            counts += table[rows[:, j]]
-        yield batch, counts.max(axis=1)
+    """The instances, drawn lazily, with their extraction sizes: the
+    largest column of their entries' summed table rows.  A chunk holds
+    consecutive instances of one length k, at most
+    _CHUNK_CELLS // (width + k) of them, so both its counts and its
+    entries stay bounded."""
+    row = {spec.coords_of(i): i - 1 for i in range(1, spec.size)}
+    width = table.shape[1]
+    for k, same_length in groupby(instances, len):
+        chunk = max(1, _CHUNK_CELLS // (width + k))
+        while batch := list(islice(same_length, chunk)):
+            entries = (row[e] for elements in batch for e in elements)
+            rows = np.fromiter(entries, dtype=np.intp, count=len(batch) * k)
+            counts = np.zeros((len(batch), width), dtype=table.dtype)
+            for col in rows.reshape(len(batch), k).T:
+                counts += table[col]
+            yield batch, counts.max(axis=1)
 
 
 def counterexample_search(query: CounterexampleQuery) -> SearchResult:
@@ -297,6 +269,11 @@ def counterexample_search(query: CounterexampleQuery) -> SearchResult:
     draws budget sequences of exactly the target length.
     """
     spec = GroupSpec(query.n, query.s)
+    if spec.size > DEFAULT_SCAN_CAP:
+        raise ValueError(
+            f"search of Z_{spec.n}^{spec.s}: the group has {spec.size} elements, "
+            f"above the scan cap {DEFAULT_SCAN_CAP}"
+        )
     complete = query.mode == "exhaustive"
     if complete:
         total = _multiset_count(spec.size - 1, query.m, query.budget)
@@ -313,10 +290,8 @@ def counterexample_search(query: CounterexampleQuery) -> SearchResult:
             ([e], np.array([extract_sum_free_group(GroupSequence(spec, e)).size]))
             for e in instances
         )
-    elif complete:
-        chunks = _exhaustive_walk(spec, _hit_table(spec, query.m), query.m)
     else:
-        chunks = _random_chunks(spec, _hit_table(spec, query.m), instances)
+        chunks = _table_chunks(spec, _hit_table(spec, query.m), instances)
     findings: list[Finding] = []
     checked = oracle_checked = 0
     for batch, sizes in chunks:

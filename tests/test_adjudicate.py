@@ -2,6 +2,7 @@
 
 import importlib
 import random
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -133,13 +134,13 @@ def _broken_extract(seq, report=None, **kwargs):
 
 def _zero_sizes(monkeypatch) -> None:
     """Make the batched kernel report extraction size 0 for every instance."""
-    walk = adjmod._exhaustive_walk
+    score = adjmod._table_chunks
 
-    def zero_walk(*args):
-        for batch, sizes in walk(*args):
+    def zero_chunks(*args):
+        for batch, sizes in score(*args):
             yield batch, np.zeros_like(sizes)
 
-    monkeypatch.setattr(adjmod, "_exhaustive_walk", zero_walk)
+    monkeypatch.setattr(adjmod, "_table_chunks", zero_chunks)
 
 
 def test_finding_categories_stay_separate(monkeypatch) -> None:
@@ -187,6 +188,14 @@ def _extract_size(spec, elements) -> int:
     return extract_sum_free_group(GroupSequence(spec, elements)).size
 
 
+def _assert_chunks_bounded(chunks, width, cells) -> None:
+    """Every chunk is one instance, or holds at most `cells` counts and
+    entries together."""
+    for batch, sizes in chunks:
+        assert len(sizes) == len(batch)
+        assert len(batch) == 1 or all(len(batch) * (width + len(e)) <= cells for e in batch)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_exhaustive_walk_matches_scans(data) -> None:
@@ -194,8 +203,10 @@ def test_exhaustive_walk_matches_scans(data) -> None:
     m = data.draw(st.integers(1, 6).filter(
         lambda m: adjmod._multiset_count(spec.size - 1, m) <= 400), label="m")
     cells = data.draw(st.sampled_from([1, 64, adjmod._CHUNK_CELLS]), label="chunk cells")
+    table = adjmod._hit_table(spec, m)
     with mock.patch.object(adjmod, "_CHUNK_CELLS", cells):
-        chunks = list(adjmod._exhaustive_walk(spec, adjmod._hit_table(spec, m), m))
+        chunks = list(adjmod._table_chunks(spec, table, adjmod._exhaustive_instances(spec, m)))
+    _assert_chunks_bounded(chunks, table.shape[1], cells)
     walked = [elements for batch, _ in chunks for elements in batch]
     assert walked == list(adjmod._exhaustive_instances(spec, m))
     sizes = [size for _, batch_sizes in chunks for size in batch_sizes.tolist()]
@@ -213,11 +224,29 @@ def test_random_chunks_match_scans(data) -> None:
     instances = data.draw(st.lists(st.lists(st.sampled_from(pool), min_size=m, max_size=m)
                                    .map(tuple), min_size=1, max_size=8), label="instances")
     cells = data.draw(st.sampled_from([1, 100, adjmod._CHUNK_CELLS]), label="chunk cells")
+    table = adjmod._hit_table(spec, m)
     with mock.patch.object(adjmod, "_CHUNK_CELLS", cells):
-        chunks = list(adjmod._random_chunks(spec, adjmod._hit_table(spec, m), iter(instances)))
+        chunks = list(adjmod._table_chunks(spec, table, iter(instances)))
+    _assert_chunks_bounded(chunks, table.shape[1], cells)
     assert [elements for batch, _ in chunks for elements in batch] == instances
     sizes = [size for _, batch_sizes in chunks for size in batch_sizes.tolist()]
     assert sizes == [_extract_size(spec, elements) for elements in instances]
+
+
+def test_exhaustive_scorer_memory_bounded() -> None:
+    # Z_40, m <= 4: 123 409 instances.  Holding a whole level of the
+    # multiset tree peaked at 13.3 MiB here.
+    spec, m = GroupSpec(40, 1), 4
+    table = adjmod._hit_table(spec, m)
+    tracemalloc.start()
+    try:
+        scored = sum(len(batch) for batch, _ in
+                     adjmod._table_chunks(spec, table, adjmod._exhaustive_instances(spec, m)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scored == adjmod._multiset_count(39, m) == 123409
+    assert peak < 4 * 2**20
 
 
 def test_hit_table_rows_checked(monkeypatch) -> None:

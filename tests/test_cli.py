@@ -9,8 +9,9 @@ import pytest
 import sumfreelab.cli as climod
 from sumfreelab.adjudicate import Finding
 from sumfreelab.cli import main
+from sumfreelab.groups import GroupSpec
 from sumfreelab.primes import PROVEN_LIMIT
-from sumfreelab.scanner import InequalityRow
+from sumfreelab.scanner import DEFAULT_SCAN_CAP, InequalityRow
 
 
 def write_group(tmp_path, name, n, s, elements):
@@ -226,6 +227,17 @@ def test_search_budget_refused_at_once(capsys) -> None:
                  "--mode", "exhaustive"]) == 2
     assert time.perf_counter() - start < 2
     assert "above the budget" in capsys.readouterr().err
+
+
+def test_search_above_scan_cap_refused_before_drawing(monkeypatch, capsys) -> None:
+    def no_draw(self, rng):
+        raise AssertionError("an instance was drawn")
+
+    monkeypatch.setattr(GroupSpec, "random_nonzero", no_draw)
+    assert main(["search", "--n", str(2 * DEFAULT_SCAN_CAP), "--s", "1", "--m", "1",
+                 "--mode", "random", "--budget", "1", "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "search of Z_" in err and "scan cap" in err and "sample=" not in err
 
 
 def test_extremal(capsys) -> None:
