@@ -217,9 +217,9 @@ def _hit_table(spec: GroupSpec, m: int) -> np.ndarray:
     """
     n, s, q = spec.n, spec.s, spec.size
     seq = GroupSequence(spec, tuple(map(spec.coords_of, range(1, q))))
-    dots = _dots(np.array(seq.elements), 0, n, n, np.min_scalar_type(s * (n - 1)))
+    dots = _dots(np.array(seq.elements), 0, n, n)
     windows = scan_windows(n)
-    table = np.concatenate([np.tile(w.bitmap(), s)[dots] for w in windows], axis=1)
+    table = np.concatenate([w.bitmap()[dots] for w in windows], axis=1)
     table = table.astype(np.min_scalar_type(m))
     tallies = [
         _tally(hits.sum(axis=0, dtype=np.int64), hits.sum(axis=1, dtype=np.int64), range(q))

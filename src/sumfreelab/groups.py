@@ -205,12 +205,25 @@ class Window:
         object.__setattr__(self, "bands", tuple(kept))
         self._check_sum_free()
 
-    def inside(self, values: np.ndarray) -> np.ndarray:
-        """Elementwise membership of residues already reduced mod modulus."""
-        hit = np.zeros(values.shape, dtype=bool)
-        for lo, hi in self.bands:
-            hit |= (values > lo) & (values <= hi)
-        return hit
+    def inside(
+        self, values: np.ndarray, out: np.ndarray | None = None, scratch: tuple | None = None
+    ) -> np.ndarray:
+        """Elementwise membership of residues already reduced mod modulus.
+
+        Given the bool array `out` and a pair of bool arrays `scratch`, all
+        of values' shape, the band tests allocate nothing.
+        """
+        out = np.empty(values.shape, dtype=bool) if out is None else out
+        band, upper = scratch or (np.empty_like(out), np.empty_like(out))
+        if not self.bands:
+            out[...] = False
+        for i, (lo, hi) in enumerate(self.bands):
+            into = band if i else out
+            np.greater(values, lo, out=into)
+            into &= np.less_equal(values, hi, out=upper)
+            if i:
+                out |= band
+        return out
 
     def _first_member(self, start: int, stop: int) -> int | None:
         """Smallest member in [start, stop], if any."""

@@ -5,28 +5,30 @@ in each sum-free residue window under x . b.  The windows come from
 `scan_windows(n)`, and a report's `windows` statistics follow its
 order.
 
-The exhaustive kernel, `_scan_block`, splits the multiplier columns
+The exhaustive kernel, `_scan_blocks`, splits the multiplier columns
 into blocks by first digit.  When every window is negation-closed
 (whenever 3 does not divide n), column -x counts what x counts, so only
 first digits 0 to n/2 are scanned and the digits between count twice.
 Within a block it never materializes the multiplier tuples.  Its dot
 builder, `_dots`, which also builds the search's hit table in
 `adjudicate`, makes a chunk of entries' dot products one coordinate at
-a time as broadcast sums of per-coordinate terms, each reduced mod n.
-The sum is left unreduced: it stays below s*n, so it indexes a window
-table tiled s times, in the narrowest unsigned dtype that holds
-s*(n-1).  Counts are kept in the narrowest dtype that holds m, and a
-chunk's scratch is at most _CHUNK_CELLS cells.  All counting is integer
-exact, and reports merge block results in a fixed order, so any worker
-count produces the identical report.  Sampled scans, of groups and of
-integers alike, all run through one chunked kernel, `_sampled_tallies`.
-Its multipliers are exactly sorted(random.Random(seed).sample(...)).
-`_draw_multipliers` reproduces them in numpy, by loading the seeded
-Mersenne Twister state into numpy's MT19937 and replaying CPython's
-getrandbits words and random.sample's set-branch rejections.  It calls
-random.sample itself only where that takes its pool branch (a small
-population).  So the sampled bytes depend on CPython's random.sample
-and getrandbits algorithms, which tests compare against the numpy draw.
+a time as broadcast sums of per-coordinate terms mod n, each reduced as
+min(d, d - n) in the narrowest unsigned dtype that holds 2(n-1).  Each
+window's bands are tested on those residues by `Window.inside`, as in
+the sampled kernel.  Counts are kept in the narrowest dtype that holds
+m, and a chunk's scratch, at most _CHUNK_CELLS cells, lives in buffers
+that each worker thread allocates once per scan.  All counting is
+integer exact, and block results merge into sums and a smallest-index
+best whatever their order, so any worker count produces the identical
+report.  Sampled scans, of groups and of integers alike, all
+run through one chunked kernel, `_sampled_tallies`.  Its multipliers
+are exactly sorted(random.Random(seed).sample(...)).  `_draw_multipliers`
+reproduces them in numpy, by loading the seeded Mersenne Twister state
+into numpy's MT19937 and replaying CPython's getrandbits words and
+random.sample's set-branch rejections.  It calls random.sample itself
+only where that takes its pool branch (a small population).  So the
+sampled bytes depend on CPython's random.sample and getrandbits
+algorithms, which tests compare against the numpy draw.
 """
 
 from __future__ import annotations
@@ -248,52 +250,67 @@ def _column_blocks(n: int, s: int, windows: Sequence[Window]) -> list[tuple[int,
     return [(d, min(d + step, hi), w) for lo, hi, w in ranges for d in range(lo, hi, step)]
 
 
-def _dots(b: np.ndarray, d0: int, d1: int, n: int, index_dtype: np.dtype) -> np.ndarray:
-    """Dot products x . b, unreduced below s*n, of the int64 entries b
-    with the columns x whose first digit is in [d0, d1), in index order."""
-    s = b.shape[1]
+def _dots(b: np.ndarray, d0: int, d1: int, n: int, bufs: Sequence[np.ndarray] = ()) -> np.ndarray:
+    """Dot products x . b mod n of the int64 entries b with the columns x
+    whose first digit is in [d0, d1), in index order, in the narrowest
+    unsigned dtype that holds 2(n - 1).  `bufs`, two flat arrays of that
+    dtype and at least as many cells, hold every table built, so the
+    result is a view of the first and only the small terms are allocated."""
+    rows, s = b.shape
+    dtype = np.min_scalar_type(2 * (n - 1))
+    bufs = bufs or [np.empty(rows * (d1 - d0) * n ** (s - 1), dtype) for _ in range(2)]
     # Prepend coordinates last to first, so each broadcast sum runs its
-    # inner loop over the long table built so far.
-    dots = np.zeros((len(b), 1), dtype=index_dtype)
+    # inner loop over the long table built so far.  The tables alternate
+    # between the buffers, ending in the first; the other takes d - n,
+    # which wraps above d where d < n, so min(d, d - n) is d mod n.
+    dots = np.zeros((rows, 1), dtype=dtype)
     for j in reversed(range(s)):
         x = np.arange(n) if j else np.arange(d0, d1)
-        term = (np.multiply.outer(b[:, j], x) % n).astype(index_dtype)
-        dots = np.add(term[:, :, None], dots[:, None, :], dtype=index_dtype)
-        dots = dots.reshape(len(b), -1)
+        term = (np.multiply.outer(b[:, j], x) % n).astype(dtype)
+        new, wrapped = (buf[: term.size * dots.shape[1]].reshape(rows, x.size, -1)
+                        for buf in (bufs[j % 2], bufs[1 - j % 2]))
+        np.add(term[:, :, None], dots[:, None, :], out=new)
+        np.minimum(new, np.subtract(new, n, out=wrapped), out=new)
+        dots = new.reshape(rows, -1)
     return dots
 
 
-def _scan_block(
-    block: tuple[int, int, int],
+def _scan_blocks(
+    blocks: Sequence[tuple[int, int, int]],
     rows: np.ndarray,
     n: int,
-    tables: Sequence[np.ndarray],
-    index_dtype: np.dtype,
+    windows: Sequence[Window],
     count_dtype: np.dtype,
-) -> list[_Tally]:
-    """Exact tallies, per window, of block (d0, d1, weight): the columns
-    whose first digit is in [d0, d1), each standing for `weight` columns.
-    rows is the m x s sequence, scanned a chunk of entries at a time.
+) -> list[list[_Tally]]:
+    """Exact tallies, per block and window, of blocks (d0, d1, weight): the
+    columns whose first digit is in [d0, d1), each standing for `weight`
+    columns.  rows is the m x s sequence, scanned a chunk of entries at a
+    time.  Every chunk of every block reuses scratch allocated once here.
     """
-    d0, d1, weight = block
     m, s = rows.shape
     low = n ** (s - 1)
-    width = (d1 - d0) * low
-    counts = [np.zeros(width, dtype=count_dtype) for _ in tables]
-    row_totals = [np.empty(m, dtype=np.int64) for _ in tables]
-    row_dtype = np.min_scalar_type(width)
-    chunk = max(1, _CHUNK_CELLS // width)
-    for lo in range(0, m, chunk):
-        dots = _dots(rows[lo : lo + chunk], d0, d1, n, index_dtype)
-        for table, c, rt in zip(tables, counts, row_totals):
-            hit = np.take(table, dots)
-            c += hit.sum(axis=0, dtype=count_dtype)
-            rt[lo : lo + chunk] = hit.sum(axis=1, dtype=row_dtype)
-        # Drop this chunk's dot products before building the next: held
-        # across that call, they made glibc re-fault its heap every chunk.
-        del dots
-    columns = range(d0 * low, d1 * low)
-    return [_tally(c, rt, columns, weight) for c, rt in zip(counts, row_totals)]
+    widths = [(d1 - d0) * low for d0, d1, _ in blocks]
+    chunks = [max(1, _CHUNK_CELLS // width) for width in widths]
+    cells = max(min(chunk, m) * width for chunk, width in zip(chunks, widths))
+    bufs = [np.empty(cells, np.min_scalar_type(2 * (n - 1))) for _ in range(2)]
+    masks = [np.empty(cells, dtype=bool) for _ in range(3)]
+    sums = np.empty((len(windows) + 1, max(widths)), dtype=count_dtype)
+    tallies = []
+    for (d0, d1, weight), width, chunk in zip(blocks, widths, chunks):
+        sums[:, :width] = 0
+        *counts, column = sums[:, :width]
+        row_totals = [np.empty(m, dtype=np.int64) for _ in windows]
+        row_dtype = np.min_scalar_type(width)
+        for lo in range(0, m, chunk):
+            dots = _dots(rows[lo : lo + chunk], d0, d1, n, bufs)
+            h, *scratch = (mask[: dots.size].reshape(dots.shape) for mask in masks)
+            for w, c, rt in zip(windows, counts, row_totals):
+                w.inside(dots, h, scratch)
+                c += h.sum(axis=0, dtype=count_dtype, out=column)
+                rt[lo : lo + chunk] = h.sum(axis=1, dtype=row_dtype)
+        columns = range(d0 * low, d1 * low)
+        tallies.append([_tally(c, rt, columns, weight) for c, rt in zip(counts, row_totals)])
+    return tallies
 
 
 def _report(
@@ -368,21 +385,22 @@ def full_scan(
         )
 
     windows = scan_windows(n)
-    tables = [np.tile(w.bitmap(), s) for w in windows]
-    index_dtype = np.min_scalar_type(s * (n - 1))
     count_dtype = np.min_scalar_type(len(seq))
     rows = np.array(seq.elements, dtype=np.int64)
 
-    def scan(block: tuple[int, int, int]) -> list[_Tally]:
-        return _scan_block(block, rows, n, tables, index_dtype, count_dtype)
+    def scan(blocks: list[tuple[int, int, int]]) -> list[list[_Tally]]:
+        return _scan_blocks(blocks, rows, n, windows, count_dtype)
 
     blocks = _column_blocks(n, s, windows)
     threads = min(workers, os.cpu_count() or 1, len(blocks))
     if threads == 1:
-        results = [scan(block) for block in blocks]
+        results = scan(blocks)
     else:
+        # Each thread takes every threads-th block, so blocks of one width
+        # spread evenly, and allocates its scratch once.
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(scan, blocks))
+            parts = pool.map(scan, [blocks[i::threads] for i in range(threads)])
+            results = [per_block for part in parts for per_block in part]
     tallies = [_merge(per_block) for per_block in zip(*results)]
     return _report(seq, profile, tallies, workers=workers)
 

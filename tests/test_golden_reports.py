@@ -35,6 +35,10 @@ GROUPS = {
     "z9x3": _seeded_group(93, 9, 3, 40),
     # s * (n - 1) = 298 > 255: dot products need an index wider than uint8
     "z150x2": _seeded_group(1502, 150, 2, 12),
+    # residues mod 128 sum in uint8 (2 * 127 = 254), negation-folded
+    "z128x2": _seeded_group(1282, 128, 2, 40),
+    # residues mod 129 need uint16; 3 | 129, so unfolded
+    "z129x2": _seeded_group(1292, 129, 2, 40),
 }
 
 _wide = random.Random(2000)
@@ -69,6 +73,11 @@ CASES = {
                             "6c551cb9d1a0a11aaa8dd67fdc5540b57e145d88eb96dd40293d616670027bcf"),
     "scan-wide-index": (["scan", "{z150x2}"],
                         "0edc431958ce0709e8c4fd4636c7e8f83fd1e02e37b6c04e2297832803907823"),
+    # the next two recorded before scans tested bands on reduced residues
+    "scan-uint8-edge": (["scan", "{z128x2}"],
+                        "14b1613394cecd6fb9023c1d66eb1c9b3533324db73ff4d762f70e69b092dba1"),
+    "scan-uint16-edge": (["scan", "{z129x2}", "--workers", "2"],
+                         "595893987e8f2b9827cc9f3c86d4ae04b053086165c66a7229e19497084f206b"),
     "scan-sampled": (["scan", "{z30x2}", "--sample", "40", "--seed", "3"],
                      "adfeea079c846fc0243884c10fc58a6e3b51d73a8611288304c755cb2db95853"),
     "adjudicate": (["adjudicate", "{z12}"],

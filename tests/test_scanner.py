@@ -138,6 +138,10 @@ def test_full_scan_matches_enumeration() -> None:
 # products from 256 up would wrap onto residues of other membership
 @example(n=400, s=1, m=40, workers=2, budget=7, seed=4)
 @example(n=150, s=2, m=2, workers=3, budget=scanner._CHUNK_CELLS, seed=5)
+# residues mod 128 are summed in uint8 (2 * 127 = 254, folded); mod 129
+# they need uint16 (3 | 129, unfolded)
+@example(n=128, s=2, m=3, workers=2, budget=7, seed=8)
+@example(n=129, s=2, m=3, workers=3, budget=scanner._CHUNK_CELLS, seed=9)
 # the smallest moduli: n = 2 is all n/2 digit, n = 3 is unfolded
 @example(n=2, s=4, m=12, workers=3, budget=1, seed=6)
 @example(n=3, s=1, m=5, workers=1, budget=1, seed=7)
@@ -173,9 +177,16 @@ def test_full_scan_matches_brute_force(n, s, m, workers, budget, seed) -> None:
 @settings(max_examples=100, deadline=None)
 @given(n=st.integers(2, 150), s=st.integers(1, 3), m=st.integers(1, 6),
        seed=st.integers(0, 2**16))
-# s * (n - 1) = 255 is the widest uint8 index; 258 and 298 need uint16
+# s * (n - 1) = 255 and 258: three residues sum to either side of 255
 @example(n=86, s=3, m=3, seed=1)
 @example(n=87, s=3, m=3, seed=2)
+# 2 * (n - 1) = 254 is the widest uint8 residue sum; n = 129 needs uint16
+@example(n=128, s=1, m=3, seed=1)
+@example(n=128, s=2, m=3, seed=2)
+@example(n=128, s=3, m=3, seed=3)
+@example(n=129, s=1, m=3, seed=4)
+@example(n=129, s=2, m=3, seed=5)
+@example(n=129, s=3, m=3, seed=6)
 @example(n=150, s=2, m=4, seed=3)
 def test_dots_match_brute_force(n, s, m, seed) -> None:
     rng = random.Random(seed)
@@ -184,15 +195,21 @@ def test_dots_match_brute_force(n, s, m, seed) -> None:
     # columns, or one digit.
     d0 = rng.randrange(n)
     d1 = rng.randint(d0 + 1, min(n, d0 + max(1, scanner._CHUNK_CELLS // low)))
-    # Rows drawn from a pool of at most three, so rows repeat.
+    # Rows drawn from a pool of one to three random rows and the
+    # all-(n - 1) row, whose sums wrap the most, so rows repeat.
     pool = [tuple(rng.randrange(n) for _ in range(s)) for _ in range(rng.randint(1, 3))]
+    pool.append((n - 1,) * s)
     rows = np.array([rng.choice(pool) for _ in range(m)], dtype=np.int64)
-    index_dtype = np.min_scalar_type(s * (n - 1))
-    dots = scanner._dots(rows, d0, d1, n, index_dtype)
-    assert dots.dtype == index_dtype and dots.shape == (m, (d1 - d0) * low)
+    dtype = np.min_scalar_type(2 * (n - 1))
+    dots = scanner._dots(rows, d0, d1, n)
+    assert dots.dtype == dtype and dots.shape == (m, (d1 - d0) * low)
     x = np.arange(d0 * low, d1 * low)
     brute = sum(np.multiply.outer(rows[:, j], x // n ** (s - 1 - j) % n) for j in range(s)) % n
-    assert (np.tile(np.arange(n), s)[dots] == brute).all()
+    assert (dots == brute).all()
+    # Into oversized buffers full of stale residues, as a block's last chunk.
+    out, spare = (np.full(dots.size + 7, n - 1, dtype=dtype) for _ in range(2))
+    again = scanner._dots(rows, d0, d1, n, (out, spare))
+    assert np.shares_memory(again, out) and (again == brute).all()
 
 
 def test_fold_scans_half_the_first_digits() -> None:
@@ -221,6 +238,22 @@ def test_exhaustive_scan_scratch_is_bounded() -> None:
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
+    assert verify_report(report, seq) == []
+
+
+def test_exhaustive_scan_builds_no_table_sized_by_n() -> None:
+    # Z_9999991 at m = 5: memberships are band tests on reduced residues,
+    # so the peak is one worker's scratch, with no window table sized by n
+    # (two ~10 MB tables put it at 28.6 MiB).
+    spec = GroupSpec(9999991, 1)
+    seq = GroupSequence(spec, ((1,), (2,), (5,), (9999990,), (123457,)))
+    tracemalloc.start()
+    try:
+        report = full_scan(seq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
     assert verify_report(report, seq) == []
 
 
