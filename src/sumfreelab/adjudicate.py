@@ -221,10 +221,8 @@ def _hit_table(spec: GroupSpec, m: int) -> np.ndarray:
     windows = scan_windows(n)
     table = np.concatenate([w.bitmap()[dots] for w in windows], axis=1)
     table = table.astype(np.min_scalar_type(m))
-    tallies = [
-        _tally(hits.sum(axis=0, dtype=np.int64), hits.sum(axis=1, dtype=np.int64), range(q))
-        for hits in np.hsplit(table, len(windows))
-    ]
+    hits = table.reshape(q - 1, len(windows), q)
+    tallies = _tally(hits.sum(axis=0, dtype=np.int64), hits.sum(axis=2, dtype=np.int64).T, range(q))
     problems = verify_report(_report(seq, divisor_profile(seq), tallies, workers=1), seq)
     if problems:
         raise RuntimeError(f"hit table of Z_{n}^{s}: {problems[0]} (of {len(problems)} problems)")

@@ -13,11 +13,18 @@ Within a block it never materializes the multiplier tuples.  Its dot
 builder, `_dots`, which also builds the search's hit table in
 `adjudicate`, makes a chunk of entries' dot products one coordinate at
 a time as broadcast sums of per-coordinate terms mod n, each reduced as
-min(d, d - n) in the narrowest unsigned dtype that holds 2(n-1).  Each
-window's bands are tested on those residues by `Window.inside`, as in
-the sampled kernel.  Counts are kept in the narrowest dtype that holds
-m, and a chunk's scratch, at most _CHUNK_CELLS cells, lives in buffers
-that each worker thread allocates once per scan.  All counting is
+min(d, d - n) in the narrowest unsigned dtype that holds 2(n-1).  At
+rank s >= 3 a multiplier is t = s // 2 + 1 leading digits u and s - t
+trailing digits v, and x . b = alpha_b(u) + beta_b(v) mod n.  Each entry
+b of a chunk gets, per window, the table R_b[a, v] = [a + beta_b(v) mod
+n lies in the window], and a block's counts are the sum over b of the
+rows R_b[alpha_b(u)], gathered with np.take: a copy and an add per cell
+and window.  At ranks 1 and 2 each window's bands are tested on the
+dot products by `Window.inside`, as in the sampled kernel.  Counts are
+kept in the narrowest dtype that holds m.  A chunk's scratch, tables
+and row indices included, stays within about _CHUNK_CELLS bytes per
+buffer whatever m is, in buffers that each worker thread allocates
+once per scan.  All counting is
 integer exact, and block results merge into sums and a smallest-index
 best whatever their order, so any worker count produces the identical
 report.  Sampled scans, of groups and of integers alike, all
@@ -201,21 +208,27 @@ _CHUNK_CELLS = 1 << 18
 
 def _tally(
     counts: np.ndarray, row_totals: np.ndarray, columns: Sequence[int] | np.ndarray, weight: int = 1
-) -> _Tally:
-    """Summarize per-column counts; columns[i] is the group index of counts[i].
+) -> list[_Tally]:
+    """Summarize per-column counts, one row of counts and of row_totals per
+    window; columns[i] is the group index of counts[:, i].
 
     Each column stands for `weight` columns of equal counts, all of
     larger index, so the best index is unchanged.
     """
-    i = int(np.argmax(counts))
-    return _Tally(
-        grand=weight * int(counts.sum(dtype=np.int64)),
-        hist=weight * np.bincount(counts, minlength=len(row_totals) + 1),
-        best_idx=int(columns[i]),
-        best_count=int(counts[i]),
-        row_totals=weight * row_totals,
-        zero_count=int(counts[0]) if columns[0] == 0 else None,
-    )
+    size = row_totals.shape[1] + 1
+    return [
+        _Tally(
+            grand=weight * int(grand),
+            hist=weight * np.bincount(c, minlength=size),
+            best_idx=int(columns[i]),
+            best_count=int(c[i]),
+            row_totals=rt,
+            zero_count=int(c[0]) if columns[0] == 0 else None,
+        )
+        for c, grand, rt, i in zip(
+            counts, counts.sum(axis=1, dtype=np.int64), weight * row_totals, counts.argmax(axis=1)
+        )
+    ]
 
 
 def _merge(tallies: Sequence[_Tally]) -> _Tally:
@@ -229,6 +242,19 @@ def _merge(tallies: Sequence[_Tally]) -> _Tally:
         row_totals=sum(t.row_totals for t in tallies),
         zero_count=next(t.zero_count for t in tallies if t.zero_count is not None),
     )
+
+
+@functools.lru_cache(maxsize=256)
+def _window_rows(n: int) -> np.ndarray:
+    """rows[a, j * n + o] = [a + o mod n lies in window j of scan_windows(n)].
+
+    Read-only and shared.  Only scans of rank 3 and up read it; under
+    the default scan cap their n is at most 215, so it holds under 100 kB.
+    """
+    sums = np.add.outer(np.arange(n), np.arange(n)) % n
+    rows = np.concatenate([w.bitmap()[sums] for w in scan_windows(n)], axis=1)
+    rows.flags.writeable = False
+    return rows
 
 
 def _column_blocks(n: int, s: int, windows: Sequence[Window]) -> list[tuple[int, int, int]]:
@@ -262,17 +288,34 @@ def _dots(b: np.ndarray, d0: int, d1: int, n: int, bufs: Sequence[np.ndarray] = 
     # Prepend coordinates last to first, so each broadcast sum runs its
     # inner loop over the long table built so far.  The tables alternate
     # between the buffers, ending in the first; the other takes d - n,
-    # which wraps above d where d < n, so min(d, d - n) is d mod n.
-    dots = np.zeros((rows, 1), dtype=dtype)
+    # which wraps above d where d < n, so min(d, d - n) is d mod n.  The
+    # last coordinate's terms start the table, but a lone coordinate is
+    # added to zeros, so that it too ends in the first buffer.
+    dots = None if s > 1 else np.zeros((rows, 1), dtype=dtype)
     for j in reversed(range(s)):
         x = np.arange(n) if j else np.arange(d0, d1)
         term = (np.multiply.outer(b[:, j], x) % n).astype(dtype)
+        if dots is None:
+            dots = term
+            continue
         new, wrapped = (buf[: term.size * dots.shape[1]].reshape(rows, x.size, -1)
                         for buf in (bufs[j % 2], bufs[1 - j % 2]))
         np.add(term[:, :, None], dots[:, None, :], out=new)
         np.minimum(new, np.subtract(new, n, out=wrapped), out=new)
         dots = new.reshape(rows, -1)
     return dots
+
+
+def _leading_digits(s: int) -> int:
+    """How many leading multiplier digits, t, the exhaustive kernel turns
+    into the dot product that picks a window row; the other s - t index
+    within the row.  t = s // 2 + 1 is the smallest t whose trailing part
+    fits in t - 1 digits, so one `_dots` call over t - 1 digits serves
+    both parts, and an entry's table, n rows of n^(s - t) cells, is no
+    larger than the n^t leading parts that read it.  Ranks 1 and 2 have
+    no trailing digit: there a row would be read about once.
+    """
+    return s // 2 + 1
 
 
 def _scan_blocks(
@@ -286,30 +329,113 @@ def _scan_blocks(
     columns whose first digit is in [d0, d1), each standing for `weight`
     columns.  rows is the m x s sequence, scanned a chunk of entries at a
     time.  Every chunk of every block reuses scratch allocated once here.
+
+    A column x splits into its t leading digits u and the rest v (see
+    `_leading_digits`), and x . b = alpha_b(u) + beta_b(v) mod n.  Entry
+    b's table R_b[a, v] = [a + beta_b(v) mod n lies in the window] is
+    built per chunk of entries (once per scan when one chunk holds them
+    all), from `_window_rows` and beta, for every window side by side;
+    a block's counts are the sum over b of
+    the rows R_b[alpha_b(u)], gathered with np.take and added up, so each
+    cell costs a copy and an add.  Entry b's row total is the sum over a
+    of (leading parts u with alpha_b(u) = a) * (hits in row a).  With no
+    trailing digit (s <= 2) each window's bands are tested on the dot
+    products instead, by `Window.inside`.
     """
     m, s = rows.shape
-    low = n ** (s - 1)
+    nw = len(windows)
+    t = _leading_digits(s)
+    low, lead, trail = n ** (s - 1), n ** (t - 1), n ** (s - t)
     widths = [(d1 - d0) * low for d0, d1, _ in blocks]
-    chunks = [max(1, _CHUNK_CELLS // width) for width in widths]
-    cells = max(min(chunk, m) * width for chunk, width in zip(chunks, widths))
-    bufs = [np.empty(cells, np.min_scalar_type(2 * (n - 1))) for _ in range(2)]
-    masks = [np.empty(cells, dtype=bool) for _ in range(3)]
-    sums = np.empty((len(windows) + 1, max(widths)), dtype=count_dtype)
+    pers = [max(1, _CHUNK_CELLS // width) for width in widths]
+    cells = max(min(per, m) * width for per, width in zip(pers, widths))
+    dtype = np.min_scalar_type(2 * (n - 1))
+    sums = np.empty((2, nw * max(widths)), dtype=count_dtype)
+    if t == s:
+        bufs = [np.empty(cells, dtype) for _ in range(2)]
+        masks = [np.empty(cells, dtype=bool) for _ in range(3)]
+    else:
+        # A chunk's tables (bytes), and a block's row indices for it (intp),
+        # each stay within _CHUNK_CELLS bytes.
+        index_bytes = np.dtype(np.intp).itemsize * max(widths) // trail
+        span = min(m, max(1, _CHUNK_CELLS // max(n * nw * trail, index_bytes)))
+        bufs = [np.empty(3 * span * lead, dtype) for _ in range(2)]
+        # Per entry: digits 1..t-1, the trailing digits and the first
+        # digit, each right-aligned in t - 1 digits, so that one _dots
+        # call lists the dot products of u's later digits, beta, and
+        # (in its first n columns) the first digit's terms.
+        parts = np.zeros((3, span, t - 1), dtype=rows.dtype)
+        offsets = (np.arange(nw) * n)[:, None]
+        tables = np.empty(span * n * nw * trail, dtype=np.uint8)
+        picks, spare = (np.empty(span * max(widths) // trail, dtype=np.uintp) for _ in range(2))
+        gathered = np.empty(nw * cells, dtype=np.uint8)
+        window_rows = _window_rows(n)
+
+        @functools.lru_cache(maxsize=1)
+        def chunk(lo: int):
+            # No block enters here, so a sequence of one chunk builds this
+            # once per scan.  Row a * r + i of the table is R_i[a] of each
+            # window in turn.  Leading part (x0, u) picks the row first[i,
+            # x0] + later[i, u], less n * r if that is reached: the row of
+            # a = x0 b_i0 + (dots of u) mod n.
+            r = min(span, m - lo)
+            parts[0, :r] = rows[lo : lo + r, 1:t]
+            parts[1, :r, 2 * t - s - 1 :] = rows[lo : lo + r, t:]
+            parts[2, :r, -1] = rows[lo : lo + r, 0]
+            dots = _dots(parts[:, :r].reshape(-1, t - 1), 0, n, n, bufs).reshape(3, r, -1)
+            beta = (dots[1, :, None, :trail] + offsets).reshape(-1)
+            table = tables[: n * beta.size].reshape(n, -1)
+            # Every index is in range; mode="clip" writes straight into out=,
+            # which the default mode would buffer.
+            np.take(window_rows, beta, axis=1, out=table, mode="clip")
+            row_hits = table.reshape(n, r, nw, trail).sum(axis=3, dtype=np.int64)
+            first = np.multiply(dots[2, :, :n], r, dtype=np.uintp)
+            later = np.multiply(dots[0], r, dtype=np.uintp)
+            later += np.arange(r, dtype=np.uintp)[:, None]
+            return table.reshape(n * r, -1), row_hits, first, later
+
     tallies = []
-    for (d0, d1, weight), width, chunk in zip(blocks, widths, chunks):
-        sums[:, :width] = 0
-        *counts, column = sums[:, :width]
-        row_totals = [np.empty(m, dtype=np.int64) for _ in windows]
-        row_dtype = np.min_scalar_type(width)
-        for lo in range(0, m, chunk):
-            dots = _dots(rows[lo : lo + chunk], d0, d1, n, bufs)
-            h, *scratch = (mask[: dots.size].reshape(dots.shape) for mask in masks)
-            for w, c, rt in zip(windows, counts, row_totals):
-                w.inside(dots, h, scratch)
-                c += h.sum(axis=0, dtype=count_dtype, out=column)
-                rt[lo : lo + chunk] = h.sum(axis=1, dtype=row_dtype)
+    for (d0, d1, weight), width, per in zip(blocks, widths, pers):
+        counts, column = sums[:, : nw * width]
+        counts[...] = 0
+        row_totals = np.empty((m, nw), dtype=np.int64)
+        if t == s:
+            row_dtype = np.min_scalar_type(width)
+            for lo in range(0, m, per):
+                dots = _dots(rows[lo : lo + per], d0, d1, n, bufs)
+                h, *scratch = (mask[: dots.size].reshape(dots.shape) for mask in masks)
+                for j, w in enumerate(windows):
+                    w.inside(dots, h, scratch)
+                    c = counts[j * width : (j + 1) * width]
+                    c += h.sum(axis=0, dtype=count_dtype, out=column[:width])
+                    # A lone entry's row is counted whole, which numpy does
+                    # faster than any reduction along an axis.
+                    row_totals[lo : lo + per, j] = (
+                        np.count_nonzero(h) if len(h) == 1 else h.sum(axis=1, dtype=row_dtype)
+                    )
+        else:
+            for lo in range(0, m, span):
+                table, row_hits, first, later = chunk(lo)
+                r = len(later)
+                # Unsigned, so where a row index is below n * r the
+                # subtraction wraps above it and the minimum keeps it.
+                at = picks[: r * (d1 - d0) * lead].reshape(r, d1 - d0, lead)
+                np.add(first[:, d0:d1, None], later[:, None, :], out=at)
+                wrapped = np.subtract(at, n * r, out=spare[: at.size].reshape(at.shape))
+                np.minimum(at, wrapped, out=at)
+                at = at.view(np.intp).reshape(r, -1)
+                uses = np.bincount(at.ravel(), minlength=n * r).reshape(n, r, 1)
+                row_totals[lo : lo + r] = (row_hits * uses).sum(axis=0)
+                for i in range(0, r, per):
+                    p = min(per, r - i)
+                    g = gathered[: p * nw * width].reshape(p, -1, table.shape[1])
+                    np.take(table, at[i : i + p], axis=0, out=g, mode="clip")
+                    g = g.reshape(p, -1)
+                    counts += g[0] if p == 1 else g.sum(axis=0, dtype=count_dtype, out=column)
+            # Gathered counts interleave the windows by table row.
+            counts = counts.reshape(-1, nw, trail).transpose(1, 0, 2)
         columns = range(d0 * low, d1 * low)
-        tallies.append([_tally(c, rt, columns, weight) for c, rt in zip(counts, row_totals)])
+        tallies.append(_tally(counts.reshape(nw, width), row_totals.T, columns, weight))
     return tallies
 
 
@@ -392,7 +518,7 @@ def full_scan(
         return _scan_blocks(blocks, rows, n, windows, count_dtype)
 
     blocks = _column_blocks(n, s, windows)
-    threads = min(workers, os.cpu_count() or 1, len(blocks))
+    threads = workers if workers == 1 else min(workers, os.cpu_count() or 1, len(blocks))
     if threads == 1:
         results = scan(blocks)
     else:
@@ -514,8 +640,8 @@ def _sampled_tallies(
     multipliers = _draw_multipliers(size, count, seed)
     rmat = np.array(rows, dtype=np.int64).T
     m = rmat.shape[1]
-    counts = [np.empty(count, dtype=np.int64) for _ in windows]
-    row_totals = [np.zeros(m, dtype=np.int64) for _ in windows]
+    counts = np.empty((len(windows), count), dtype=np.int64)
+    row_totals = np.zeros((len(windows), m), dtype=np.int64)
     chunk = max(1, _CHUNK_CELLS // (m + width))
     for lo in range(0, count, chunk):
         q = multipliers[lo : lo + chunk]
@@ -528,7 +654,7 @@ def _sampled_tallies(
             hit = w.inside(dots)
             c[lo : lo + chunk] = hit.sum(axis=1)
             rt += hit.sum(axis=0)
-    return count, [_tally(c, rt, multipliers) for c, rt in zip(counts, row_totals)]
+    return count, _tally(counts, row_totals, multipliers)
 
 
 def _sampled_scan(

@@ -39,6 +39,12 @@ GROUPS = {
     "z128x2": _seeded_group(1282, 128, 2, 40),
     # residues mod 129 need uint16; 3 | 129, so unfolded
     "z129x2": _seeded_group(1292, 129, 2, 40),
+    # rank 6, folded: leading and trailing digits split for the window-row gather
+    "z5x6": _seeded_group(566, 5, 6, 60),
+    # rank 4, 3 | 6 so unfolded; m = 300 needs uint16 counts
+    "z6x4": _seeded_group(640, 6, 4, 300),
+    # n = 2, rank 7: every first digit is its own negation
+    "z2x7": _seeded_group(27, 2, 7, 9),
 }
 
 _wide = random.Random(2000)
@@ -78,6 +84,17 @@ CASES = {
                         "14b1613394cecd6fb9023c1d66eb1c9b3533324db73ff4d762f70e69b092dba1"),
     "scan-uint16-edge": (["scan", "{z129x2}", "--workers", "2"],
                          "595893987e8f2b9827cc9f3c86d4ae04b053086165c66a7229e19497084f206b"),
+    # the next five recorded before rank >= 3 scans gathered precomputed window rows
+    "scan-rank6-w1": (["scan", "{z5x6}", "--workers", "1"],
+                      "bf04bccce34e05f5c2cb61ab808068cea730c55aaa93198045cc54cfef33ef0b"),
+    "scan-rank6-w2": (["scan", "{z5x6}", "--workers", "2"],
+                      "bf04bccce34e05f5c2cb61ab808068cea730c55aaa93198045cc54cfef33ef0b"),
+    "scan-unfolded-rank4-w1": (["scan", "{z6x4}", "--workers", "1"],
+                               "9db2a318021ea8d8b94cb2ff729cded3f7d334fef1ea4c973bbe209c8308bc4a"),
+    "scan-unfolded-rank4-w2": (["scan", "{z6x4}", "--workers", "2"],
+                               "9db2a318021ea8d8b94cb2ff729cded3f7d334fef1ea4c973bbe209c8308bc4a"),
+    "scan-z2-rank7": (["scan", "{z2x7}", "--workers", "2"],
+                      "6ef0222a6c2ceb4273d728d4ad511b62f620b48381b3791282ec80a6830a4656"),
     "scan-sampled": (["scan", "{z30x2}", "--sample", "40", "--seed", "3"],
                      "adfeea079c846fc0243884c10fc58a6e3b51d73a8611288304c755cb2db95853"),
     "adjudicate": (["adjudicate", "{z12}"],

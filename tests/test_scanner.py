@@ -153,7 +153,12 @@ def test_full_scan_matches_brute_force(n, s, m, workers, budget, seed) -> None:
     seq = _random_sequence(random.Random(seed), n, s, m)
     with mock.patch.object(scanner, "_CHUNK_CELLS", budget):
         report = full_scan(seq, workers=workers)
-    size = n**s
+    _assert_matches_brute_force(report, seq)
+
+
+def _assert_matches_brute_force(report, seq) -> None:
+    """Every WindowStats field against full enumeration, and verify_report."""
+    m, size = len(seq), seq.spec.size
     for counts, rows, stats in zip(naive.scan_counts(seq), naive.row_totals(seq), report.windows):
         hist = [0] * (m + 1)
         for c in counts:
@@ -172,6 +177,56 @@ def test_full_scan_matches_brute_force(n, s, m, workers, budget, seed) -> None:
             zero_column_count=counts[0],
         )
     assert verify_report(report, seq) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 9),
+    s=st.integers(3, 6),
+    m=st.integers(1, 300),
+    workers=st.integers(1, 3),
+    budget=st.sampled_from([1, 7, scanner._CHUNK_CELLS]),
+    seed=st.integers(0, 2**16),
+)
+# m = 256 to 300 need uint16 counts: unfolded (3 | n), folded odd and even n
+@example(n=3, s=4, m=300, workers=2, budget=7, seed=1)
+@example(n=6, s=3, m=256, workers=3, budget=scanner._CHUNK_CELLS, seed=2)
+@example(n=5, s=3, m=290, workers=1, budget=1, seed=3)
+@example(n=4, s=4, m=270, workers=2, budget=scanner._CHUNK_CELLS, seed=4)
+# n = 2: every first digit is its own negation; rank 6 splits 4 + 2
+@example(n=2, s=6, m=300, workers=3, budget=1, seed=5)
+@example(n=7, s=5, m=9, workers=1, budget=7, seed=6)
+@example(n=5, s=6, m=4, workers=2, budget=scanner._CHUNK_CELLS, seed=7)
+def test_gather_scan_matches_brute_force(n, s, m, workers, budget, seed) -> None:
+    # Ranks 3 and up gather window rows (trailing digits) picked by the
+    # leading digits' dot products.  Entries include ones whose leading or
+    # trailing digits are all zero, repeats and +-b pairs.
+    while n**s > 20000:
+        n -= 1
+    m = min(m, max(1, 80000 // n**s))
+    rng = random.Random(seed)
+    spec = GroupSpec(n, s)
+    t = scanner._leading_digits(s)
+    assert s - t >= 1
+    elements: list[tuple[int, ...]] = []
+    while len(elements) < m:
+        kind = rng.randrange(5)
+        if elements and kind == 0:
+            elements.append(rng.choice(elements))
+        elif elements and kind == 1:
+            elements.append(tuple(-c % n for c in rng.choice(elements)))
+        else:
+            el = spec.random_nonzero(rng)
+            if kind == 2:
+                el = (0,) * t + el[t:]
+            elif kind == 3:
+                el = el[:t] + (0,) * (s - t)
+            if any(el):
+                elements.append(el)
+    seq = GroupSequence(spec, tuple(elements))
+    with mock.patch.object(scanner, "_CHUNK_CELLS", budget):
+        report = full_scan(seq, workers=workers)
+    _assert_matches_brute_force(report, seq)
 
 
 @settings(max_examples=100, deadline=None)
@@ -254,6 +309,23 @@ def test_exhaustive_scan_builds_no_table_sized_by_n() -> None:
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+    assert verify_report(report, seq) == []
+
+
+def test_gather_scan_scratch_is_bounded_in_m() -> None:
+    # Z_50^3 at m = 2000: every entry's window tables together would be
+    # 9.5 MiB, and their row indices 38 MiB; chunks of entries keep the
+    # peak near 2.5 MiB whatever m is.
+    spec = GroupSpec(50, 3)
+    rng = random.Random(5)
+    seq = GroupSequence(spec, tuple(spec.random_nonzero(rng) for _ in range(2000)))
+    tracemalloc.start()
+    try:
+        report = full_scan(seq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
     assert verify_report(report, seq) == []
 
 
