@@ -288,16 +288,11 @@ def _dots(b: np.ndarray, d0: int, d1: int, n: int, bufs: Sequence[np.ndarray] = 
     # Prepend coordinates last to first, so each broadcast sum runs its
     # inner loop over the long table built so far.  The tables alternate
     # between the buffers, ending in the first; the other takes d - n,
-    # which wraps above d where d < n, so min(d, d - n) is d mod n.  The
-    # last coordinate's terms start the table, but a lone coordinate is
-    # added to zeros, so that it too ends in the first buffer.
-    dots = None if s > 1 else np.zeros((rows, 1), dtype=dtype)
+    # which wraps above d where d < n, so min(d, d - n) is d mod n.
+    dots = np.zeros((rows, 1), dtype=dtype)
     for j in reversed(range(s)):
         x = np.arange(n) if j else np.arange(d0, d1)
         term = (np.multiply.outer(b[:, j], x) % n).astype(dtype)
-        if dots is None:
-            dots = term
-            continue
         new, wrapped = (buf[: term.size * dots.shape[1]].reshape(rows, x.size, -1)
                         for buf in (bufs[j % 2], bufs[1 - j % 2]))
         np.add(term[:, :, None], dots[:, None, :], out=new)
@@ -408,11 +403,7 @@ def _scan_blocks(
                     w.inside(dots, h, scratch)
                     c = counts[j * width : (j + 1) * width]
                     c += h.sum(axis=0, dtype=count_dtype, out=column[:width])
-                    # A lone entry's row is counted whole, which numpy does
-                    # faster than any reduction along an axis.
-                    row_totals[lo : lo + per, j] = (
-                        np.count_nonzero(h) if len(h) == 1 else h.sum(axis=1, dtype=row_dtype)
-                    )
+                    row_totals[lo : lo + per, j] = h.sum(axis=1, dtype=row_dtype)
         else:
             for lo in range(0, m, span):
                 table, row_hits, first, later = chunk(lo)
@@ -431,6 +422,8 @@ def _scan_blocks(
                     g = gathered[: p * nw * width].reshape(p, -1, table.shape[1])
                     np.take(table, at[i : i + p], axis=0, out=g, mode="clip")
                     g = g.reshape(p, -1)
+                    # One entry's rows are added as they are: a sum along
+                    # an axis of length one would be another full pass.
                     counts += g[0] if p == 1 else g.sum(axis=0, dtype=count_dtype, out=column)
             # Gathered counts interleave the windows by table row.
             counts = counts.reshape(-1, nw, trail).transpose(1, 0, 2)
@@ -518,7 +511,7 @@ def full_scan(
         return _scan_blocks(blocks, rows, n, windows, count_dtype)
 
     blocks = _column_blocks(n, s, windows)
-    threads = workers if workers == 1 else min(workers, os.cpu_count() or 1, len(blocks))
+    threads = min(workers, os.cpu_count() or 1, len(blocks))
     if threads == 1:
         results = scan(blocks)
     else:
