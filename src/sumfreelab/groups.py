@@ -205,16 +205,10 @@ class Window:
         object.__setattr__(self, "bands", tuple(kept))
         self._check_sum_free()
 
-    def inside(
-        self, values: np.ndarray, out: np.ndarray | None = None, scratch: tuple | None = None
-    ) -> np.ndarray:
-        """Elementwise membership of residues already reduced mod modulus.
-
-        Given the bool array `out` and a pair of bool arrays `scratch`, all
-        of values' shape, the band tests allocate nothing.
-        """
-        out = np.empty(values.shape, dtype=bool) if out is None else out
-        band, upper = scratch or (np.empty_like(out), np.empty_like(out))
+    def inside(self, values: np.ndarray) -> np.ndarray:
+        """Elementwise membership of residues already reduced mod modulus."""
+        out = np.empty(values.shape, dtype=bool)
+        band, upper = np.empty_like(out), np.empty_like(out)
         if not self.bands:
             out[...] = False
         for i, (lo, hi) in enumerate(self.bands):

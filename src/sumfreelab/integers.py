@@ -78,15 +78,14 @@ def row_hit_count(b: int, choice: PrimeChoice) -> int:
     Computed by direct enumeration.  Always equals k + 1: as x runs over
     the nonzero field elements, so does x*b.
     """
-    p, k = choice.p, choice.k
+    p, window = choice.p, choice.target_window()
     r = b % p
     if r == 0:
         raise ValueError(f"{b} vanishes mod {p}")
     total = 0
     for lo in range(1, p, 1 << 20):
         xs = np.arange(lo, min(lo + (1 << 20), p), dtype=np.int64)
-        vals = xs * r % p
-        total += int(((vals > k) & (vals <= 2 * k + 1)).sum())
+        total += int(window.inside(xs * r % p).sum())
     return total
 
 
@@ -296,8 +295,8 @@ def _fft_pays(residues: Sequence[int], p: int) -> bool:
 
 
 def _hits_for(values: Sequence[int], choice: PrimeChoice, x: int) -> list[int]:
-    p, k = choice.p, choice.k
-    return [i for i, b in enumerate(values) if k < x * (b % p) % p <= 2 * k + 1]
+    window = choice.target_window()
+    return [i for i, b in enumerate(values) if window.contains(x * b)]
 
 
 def _digit_width(p: int) -> tuple[int, int]:
@@ -405,12 +404,13 @@ def extract_sum_free_subset(
     """
     choice = choose_prime(values)
     column = best_column(values, choice, sample=sample, seed=seed)
-    p, k, x = choice.p, choice.k, column.x
+    p, x = choice.p, column.x
     subset = tuple(values[i] for i in column.hits)
 
     distinct = {b % p for b in set(values)}
     injective = len(distinct) == len(set(values))
-    residues_ok = all(k < x * (b % p) % p <= 2 * k + 1 for b in subset)
+    window = choice.target_window()
+    residues_ok = all(window.contains(x * b) for b in subset)
     sum_free = is_sum_free(set(subset))
     bound_met = column.count >= len(values) // 3 + 1
 

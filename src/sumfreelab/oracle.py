@@ -182,16 +182,12 @@ def _best_support(order: list, weight: list[int], add: AddFn) -> list[int]:
     return best
 
 
-def max_sum_free(
-    values: Sequence,
-    add: AddFn = operator.add,
-    limit: int = EXACT_SEARCH_LIMIT,
-) -> SumFreeWitness:
+def max_sum_free(values: Sequence, add: AddFn = operator.add) -> SumFreeWitness:
     """Exact maximum sum-free subsequence; ties resolved to the
     lexicographically smallest position list.  `add` must be commutative."""
-    if len(values) > limit:
+    if len(values) > EXACT_SEARCH_LIMIT:
         raise ExactSearchCapExceeded(
-            f"exact search limited to {limit} values, got {len(values)}; "
+            f"exact search limited to {EXACT_SEARCH_LIMIT} values, got {len(values)}; "
             "use greedy_sum_free for an inexact witness"
         )
     if not values:

@@ -23,12 +23,11 @@ and window.  At ranks 1 and 2 each window's bands are tested on the
 dot products by `Window.inside`, as in the sampled kernel.  Counts are
 kept in the narrowest dtype that holds m.  A chunk's scratch, tables
 and row indices included, stays within about _CHUNK_CELLS bytes per
-buffer whatever m is, in buffers that each worker thread allocates
-once per scan.  All counting is
-integer exact, and block results merge into sums and a smallest-index
-best whatever their order, so any worker count produces the identical
-report.  Sampled scans, of groups and of integers alike, all
-run through one chunked kernel, `_sampled_tallies`.  Its multipliers
+array whatever m is.  All counting is integer exact, and block results
+merge into sums and a smallest-index best whatever their order, so any
+worker count produces the identical report.  Sampled scans, of groups
+and of integers alike, all run through one chunked kernel,
+`_sampled_tallies`.  Its multipliers
 are exactly sorted(random.Random(seed).sample(...)).  `_draw_multipliers`
 reproduces them in numpy, by loading the seeded Mersenne Twister state
 into numpy's MT19937 and replaying CPython's getrandbits words and
@@ -276,39 +275,33 @@ def _column_blocks(n: int, s: int, windows: Sequence[Window]) -> list[tuple[int,
     return [(d, min(d + step, hi), w) for lo, hi, w in ranges for d in range(lo, hi, step)]
 
 
-def _dots(b: np.ndarray, d0: int, d1: int, n: int, bufs: Sequence[np.ndarray] = ()) -> np.ndarray:
+def _dots(b: np.ndarray, d0: int, d1: int, n: int) -> np.ndarray:
     """Dot products x . b mod n of the int64 entries b with the columns x
     whose first digit is in [d0, d1), in index order, in the narrowest
-    unsigned dtype that holds 2(n - 1).  `bufs`, two flat arrays of that
-    dtype and at least as many cells, hold every table built, so the
-    result is a view of the first and only the small terms are allocated."""
+    unsigned dtype that holds 2(n - 1)."""
     rows, s = b.shape
     dtype = np.min_scalar_type(2 * (n - 1))
-    bufs = bufs or [np.empty(rows * (d1 - d0) * n ** (s - 1), dtype) for _ in range(2)]
     # Prepend coordinates last to first, so each broadcast sum runs its
-    # inner loop over the long table built so far.  The tables alternate
-    # between the buffers, ending in the first; the other takes d - n,
-    # which wraps above d where d < n, so min(d, d - n) is d mod n.
+    # inner loop over the long table built so far.  d - n wraps above d
+    # where d < n, so min(d, d - n) is d mod n.
     dots = np.zeros((rows, 1), dtype=dtype)
     for j in reversed(range(s)):
         x = np.arange(n) if j else np.arange(d0, d1)
         term = (np.multiply.outer(b[:, j], x) % n).astype(dtype)
-        new, wrapped = (buf[: term.size * dots.shape[1]].reshape(rows, x.size, -1)
-                        for buf in (bufs[j % 2], bufs[1 - j % 2]))
-        np.add(term[:, :, None], dots[:, None, :], out=new)
-        np.minimum(new, np.subtract(new, n, out=wrapped), out=new)
-        dots = new.reshape(rows, -1)
+        dots = np.add(term[:, :, None], dots[:, None, :]).reshape(rows, -1)
+        np.minimum(dots, dots - n, out=dots)
     return dots
 
 
 def _leading_digits(s: int) -> int:
     """How many leading multiplier digits, t, the exhaustive kernel turns
     into the dot product that picks a window row; the other s - t index
-    within the row.  t = s // 2 + 1 is the smallest t whose trailing part
-    fits in t - 1 digits, so one `_dots` call over t - 1 digits serves
-    both parts, and an entry's table, n rows of n^(s - t) cells, is no
-    larger than the n^t leading parts that read it.  Ranks 1 and 2 have
-    no trailing digit: there a row would be read about once.
+    within the row.  At t = s // 2 + 1 an entry's table, n rows of
+    n^(s - t) cells, is no larger than the n^t leading parts that read
+    it.  In an earlier form of this kernel the smaller t = ceil(s/2),
+    whose larger tables were rebuilt in every block, scanned Z_11^6 at
+    m = 100 in 68-76 ms against 42-57 ms (2-core x86-64).  Ranks 1 and 2
+    have no trailing digit: there a row would be read about once.
     """
     return s // 2 + 1
 
@@ -323,7 +316,7 @@ def _scan_blocks(
     """Exact tallies, per block and window, of blocks (d0, d1, weight): the
     columns whose first digit is in [d0, d1), each standing for `weight`
     columns.  rows is the m x s sequence, scanned a chunk of entries at a
-    time.  Every chunk of every block reuses scratch allocated once here.
+    time.
 
     A column x splits into its t leading digits u and the rest v (see
     `_leading_digits`), and x . b = alpha_b(u) + beta_b(v) mod n.  Entry
@@ -340,30 +333,15 @@ def _scan_blocks(
     m, s = rows.shape
     nw = len(windows)
     t = _leading_digits(s)
-    low, lead, trail = n ** (s - 1), n ** (t - 1), n ** (s - t)
+    low, trail = n ** (s - 1), n ** (s - t)
     widths = [(d1 - d0) * low for d0, d1, _ in blocks]
     pers = [max(1, _CHUNK_CELLS // width) for width in widths]
-    cells = max(min(per, m) * width for per, width in zip(pers, widths))
-    dtype = np.min_scalar_type(2 * (n - 1))
-    sums = np.empty((2, nw * max(widths)), dtype=count_dtype)
-    if t == s:
-        bufs = [np.empty(cells, dtype) for _ in range(2)]
-        masks = [np.empty(cells, dtype=bool) for _ in range(3)]
-    else:
+    if t < s:
         # A chunk's tables (bytes), and a block's row indices for it (intp),
         # each stay within _CHUNK_CELLS bytes.
         index_bytes = np.dtype(np.intp).itemsize * max(widths) // trail
         span = min(m, max(1, _CHUNK_CELLS // max(n * nw * trail, index_bytes)))
-        bufs = [np.empty(3 * span * lead, dtype) for _ in range(2)]
-        # Per entry: digits 1..t-1, the trailing digits and the first
-        # digit, each right-aligned in t - 1 digits, so that one _dots
-        # call lists the dot products of u's later digits, beta, and
-        # (in its first n columns) the first digit's terms.
-        parts = np.zeros((3, span, t - 1), dtype=rows.dtype)
         offsets = (np.arange(nw) * n)[:, None]
-        tables = np.empty(span * n * nw * trail, dtype=np.uint8)
-        picks, spare = (np.empty(span * max(widths) // trail, dtype=np.uintp) for _ in range(2))
-        gathered = np.empty(nw * cells, dtype=np.uint8)
         window_rows = _window_rows(n)
 
         @functools.lru_cache(maxsize=1)
@@ -373,36 +351,27 @@ def _scan_blocks(
             # window in turn.  Leading part (x0, u) picks the row first[i,
             # x0] + later[i, u], less n * r if that is reached: the row of
             # a = x0 b_i0 + (dots of u) mod n.
-            r = min(span, m - lo)
-            parts[0, :r] = rows[lo : lo + r, 1:t]
-            parts[1, :r, 2 * t - s - 1 :] = rows[lo : lo + r, t:]
-            parts[2, :r, -1] = rows[lo : lo + r, 0]
-            dots = _dots(parts[:, :r].reshape(-1, t - 1), 0, n, n, bufs).reshape(3, r, -1)
-            beta = (dots[1, :, None, :trail] + offsets).reshape(-1)
-            table = tables[: n * beta.size].reshape(n, -1)
-            # Every index is in range; mode="clip" writes straight into out=,
-            # which the default mode would buffer.
-            np.take(window_rows, beta, axis=1, out=table, mode="clip")
+            part = rows[lo : lo + span]
+            r = len(part)
+            beta = (_dots(part[:, t:], 0, n, n)[:, None, :] + offsets).reshape(-1)
+            table = np.take(window_rows, beta, axis=1)
             row_hits = table.reshape(n, r, nw, trail).sum(axis=3, dtype=np.int64)
-            first = np.multiply(dots[2, :, :n], r, dtype=np.uintp)
-            later = np.multiply(dots[0], r, dtype=np.uintp)
+            first = (np.multiply.outer(part[:, 0], np.arange(n)) % n * r).astype(np.uintp)
+            later = np.multiply(_dots(part[:, 1:t], 0, n, n), r, dtype=np.uintp)
             later += np.arange(r, dtype=np.uintp)[:, None]
             return table.reshape(n * r, -1), row_hits, first, later
 
     tallies = []
     for (d0, d1, weight), width, per in zip(blocks, widths, pers):
-        counts, column = sums[:, : nw * width]
-        counts[...] = 0
+        counts = np.zeros(nw * width, dtype=count_dtype)
         row_totals = np.empty((m, nw), dtype=np.int64)
         if t == s:
             row_dtype = np.min_scalar_type(width)
             for lo in range(0, m, per):
-                dots = _dots(rows[lo : lo + per], d0, d1, n, bufs)
-                h, *scratch = (mask[: dots.size].reshape(dots.shape) for mask in masks)
+                dots = _dots(rows[lo : lo + per], d0, d1, n)
                 for j, w in enumerate(windows):
-                    w.inside(dots, h, scratch)
-                    c = counts[j * width : (j + 1) * width]
-                    c += h.sum(axis=0, dtype=count_dtype, out=column[:width])
+                    h = w.inside(dots)
+                    counts[j * width : (j + 1) * width] += h.sum(axis=0, dtype=count_dtype)
                     row_totals[lo : lo + per, j] = h.sum(axis=1, dtype=row_dtype)
         else:
             for lo in range(0, m, span):
@@ -410,21 +379,17 @@ def _scan_blocks(
                 r = len(later)
                 # Unsigned, so where a row index is below n * r the
                 # subtraction wraps above it and the minimum keeps it.
-                at = picks[: r * (d1 - d0) * lead].reshape(r, d1 - d0, lead)
-                np.add(first[:, d0:d1, None], later[:, None, :], out=at)
-                wrapped = np.subtract(at, n * r, out=spare[: at.size].reshape(at.shape))
-                np.minimum(at, wrapped, out=at)
+                at = first[:, d0:d1, None] + later[:, None, :]
+                np.minimum(at, at - n * r, out=at)
                 at = at.view(np.intp).reshape(r, -1)
                 uses = np.bincount(at.ravel(), minlength=n * r).reshape(n, r, 1)
                 row_totals[lo : lo + r] = (row_hits * uses).sum(axis=0)
                 for i in range(0, r, per):
-                    p = min(per, r - i)
-                    g = gathered[: p * nw * width].reshape(p, -1, table.shape[1])
-                    np.take(table, at[i : i + p], axis=0, out=g, mode="clip")
-                    g = g.reshape(p, -1)
+                    g = np.take(table, at[i : i + per], axis=0)
+                    g = g.reshape(len(g), -1)
                     # One entry's rows are added as they are: a sum along
                     # an axis of length one would be another full pass.
-                    counts += g[0] if p == 1 else g.sum(axis=0, dtype=count_dtype, out=column)
+                    counts += g[0] if len(g) == 1 else g.sum(axis=0, dtype=count_dtype)
             # Gathered counts interleave the windows by table row.
             counts = counts.reshape(-1, nw, trail).transpose(1, 0, 2)
         columns = range(d0 * low, d1 * low)
@@ -516,7 +481,7 @@ def full_scan(
         results = scan(blocks)
     else:
         # Each thread takes every threads-th block, so blocks of one width
-        # spread evenly, and allocates its scratch once.
+        # spread evenly.
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = pool.map(scan, [blocks[i::threads] for i in range(threads)])
             results = [per_block for part in parts for per_block in part]

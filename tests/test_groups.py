@@ -197,19 +197,15 @@ def test_bitmap_matches_contains() -> None:
 
 
 def test_inside_matches_contains() -> None:
-    # Every residue, in each unsigned width that holds it and in int64, with
-    # and without reused buffers full of stale values; n = 2 and 3 give an
-    # empty sixth-bands window, n = 128 and 129 the uint8 and uint16 edges.
+    # Every residue, in each unsigned width that holds it and in int64;
+    # n = 2 and 3 give an empty sixth-bands window, n = 128 and 129 the
+    # uint8 and uint16 edges.
     for n in (2, 3, 7, 30, 101, 128, 129, 300):
         for w in (window_middle_third(n), window_sixth_bands(n)):
             want = [w.contains(v) for v in range(n)]
             for dtype in (np.min_scalar_type(2 * (n - 1)), np.uint32, np.uint64, np.int64):
                 values = np.arange(n, dtype=dtype).reshape(1, n)
                 assert w.inside(values).tolist() == [want]
-                out = np.ones(values.shape, dtype=bool)
-                scratch = (np.ones(values.shape, dtype=bool), np.ones(values.shape, dtype=bool))
-                assert w.inside(values, out, scratch) is out
-                assert out.tolist() == [want]
 
 
 def test_dot_uniform_over_subgroup() -> None:
