@@ -27,10 +27,10 @@ array whatever m is.  All counting is integer exact, and block results
 merge into sums and a smallest-index best whatever their order, so any
 worker count produces the identical report.  Sampled scans, of groups
 and of integers alike, all run through one chunked kernel,
-`_sampled_tallies`.  Its multipliers
-are exactly sorted(random.Random(seed).sample(...)).  `_draw_multipliers`
-reproduces them in numpy, by loading the seeded Mersenne Twister state
-into numpy's MT19937 and replaying CPython's getrandbits words and
+`_sampled_tallies`.  Its multipliers are exactly
+sorted(random.Random(seed).sample(...)).  `_draw_multipliers` reproduces
+them in numpy, by loading the seeded Mersenne Twister state into
+numpy's MT19937 and replaying CPython's getrandbits words and
 random.sample's set-branch rejections.  It calls random.sample itself
 only where that takes its pool branch (a small population).  So the
 sampled bytes depend on CPython's random.sample and getrandbits
@@ -322,10 +322,10 @@ def _scan_blocks(
     `_leading_digits`), and x . b = alpha_b(u) + beta_b(v) mod n.  Entry
     b's table R_b[a, v] = [a + beta_b(v) mod n lies in the window] is
     built per chunk of entries (once per scan when one chunk holds them
-    all), from `_window_rows` and beta, for every window side by side;
-    a block's counts are the sum over b of
-    the rows R_b[alpha_b(u)], gathered with np.take and added up, so each
-    cell costs a copy and an add.  Entry b's row total is the sum over a
+    all), from `_window_rows` and beta, for every window side by side; a
+    block's counts are the sum over b of the rows R_b[alpha_b(u)],
+    gathered with np.take and added up, so each cell costs a copy and an
+    add.  Entry b's row total is the sum over a
     of (leading parts u with alpha_b(u) = a) * (hits in row a).  With no
     trailing digit (s <= 2) each window's bands are tested on the dot
     products instead, by `Window.inside`.
