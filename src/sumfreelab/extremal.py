@@ -46,14 +46,8 @@ class TightnessReport:
     matched: bool
 
 
-def tightness_instance(p: int = 7, s: int = 1) -> TightnessReport:
-    """Certify tightness on the nonzero elements of Z_7.
-
-    Only the (7, 1) instance is certified here; other parameters raise
-    rather than return an unverified claim.
-    """
-    if (p, s) != (7, 1):
-        raise ValueError("tightness is certified only for p=7, s=1")
+def tightness_instance() -> TightnessReport:
+    """Certify tightness on the nonzero elements of Z_7."""
     spec = GroupSpec(7, 1)
     elements = [(v,) for v in range(1, 7)]
     witness = max_sum_free(elements, add=spec.add)

@@ -44,10 +44,6 @@ class GroupSpec:
     def size(self) -> int:
         return self.n**self.s
 
-    @property
-    def zero(self) -> Element:
-        return (0,) * self.s
-
     def validate(self, el: Sequence[int]) -> Element:
         """Return el as a canonical tuple, rejecting out-of-range coordinates."""
         t = tuple(el)

@@ -89,11 +89,6 @@ def row_hit_count(b: int, choice: PrimeChoice) -> int:
     return total
 
 
-# Pending interval endpoints and hit columns are flushed into the counts
-# after this many cells, so scratch memory stays bounded whatever m is.
-_FLUSH_CELLS = 1 << 18
-
-
 def _column_counts(residues: Sequence[int], k: int, p: int) -> np.ndarray:
     """counts[x] = number of inputs landing in the band under multiplier x,
     for 0 <= x <= (p - 1) / 2.
@@ -102,7 +97,8 @@ def _column_counts(residues: Sequence[int], k: int, p: int) -> np.ndarray:
     counts[p - x] and the upper half is never computed; the first maximum
     over 1 <= x < p always lies in this half.  A row and its negation hit
     the same columns, so rows are grouped by a = min(r, p - r) and each
-    distinct a is counted once, weighted by its multiplicity:
+    distinct a is scattered once, as soon as it is reached, weighted by its
+    multiplicity; scratch beyond the counts stays within one row:
 
     - small a: x*a mod p lands in the band exactly for x in the intervals
       [(j*p + k)//a + 1, (j*p + 2k + 1)//a], j < ceil(a/2), which go into a
@@ -116,40 +112,17 @@ def _column_counts(residues: Sequence[int], k: int, p: int) -> np.ndarray:
     edges = np.zeros(h + 2, dtype=np.int64)  # difference array of the interval rows
     direct = np.zeros(h + 1, dtype=np.int64)  # hit counts of the column rows
     half_band = np.arange(k + 1, h + 1, dtype=np.int64)
-    starts: list[np.ndarray] = []
-    ends: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-
-    # Scatter-adds update in place: a bincount per flush would allocate and
+    # Scatter-adds update in place: a bincount per row would allocate and
     # fault in a fresh h-sized array each time, the dominant cost at small m.
-    def flush(weight: int) -> None:
-        if starts:
-            np.add.at(edges, np.concatenate(starts), weight)
-            np.subtract.at(edges, np.concatenate(ends), weight)
-        if cols:
-            np.add.at(direct, np.concatenate(cols), weight)
-        starts.clear()
-        ends.clear()
-        cols.clear()
-
-    # Rows go in order of multiplicity, so that each flush adds one scalar
-    # weight rather than an array of per-cell weights.
-    pending, weight = 0, 1
-    for a, w in sorted(Counter(min(r, p - r) for r in residues).items(), key=lambda aw: aw[1]):
-        if w != weight or pending >= _FLUSH_CELLS:
-            flush(weight)
-            pending, weight = 0, w
+    for a, w in Counter(min(r, p - r) for r in residues).items():
         if a <= small:
             jp = np.arange((a + 1) // 2, dtype=np.int64) * p
-            starts.append((jp + k) // a + 1)  # a <= p/6 keeps every start <= h
-            ends.append(np.minimum((jp + (2 * k + 1)) // a + 1, h + 1))
-            pending += 2 * jp.size
+            np.add.at(edges, (jp + k) // a + 1, w)  # a <= p/6 keeps every start <= h
+            np.subtract.at(edges, np.minimum((jp + (2 * k + 1)) // a + 1, h + 1), w)
         else:
             x = half_band * pow(a, -1, p)
             x %= p
-            cols.append(np.minimum(x, p - x, out=x))
-            pending += x.size
-    flush(weight)
+            np.add.at(direct, np.minimum(x, p - x, out=x), w)
     counts = np.cumsum(edges[: h + 1], out=edges[: h + 1])
     counts += direct
     return counts

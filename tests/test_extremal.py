@@ -59,7 +59,3 @@ def test_tightness_instance() -> None:
     assert rep.two_sevenths_of_m_plus_1 == Fraction(2)
     assert rep.matched
     assert rep.witness.size == 2 and rep.witness.exact
-    with pytest.raises(ValueError):
-        tightness_instance(13, 1)
-    with pytest.raises(ValueError):
-        tightness_instance(7, 2)

@@ -58,6 +58,9 @@ INTEGERS = {
     "ints_wide": [_wide.choice([-1, 1]) * _wide.randint(1, 10**5) for _ in range(600)],
     # large m = 3000, |b| <= 1e5: the FFT kernel's side of the dispatch
     "ints_large": [_large.choice([-1, 1]) * _large.randint(1, 10**5) for _ in range(3000)],
+    # many interval rows with multiplicities (+-v pairs, a triple) and one column
+    # row at p = 2000003, on the interval kernel's side of the dispatch
+    "ints_rows": list(range(1, 1501)) + [-v for v in range(1, 301)] + [7, 7, 7] + [10**6],
     # seven multipliers in 1..(p-1)/2 share the best count; the smallest must win
     "ints_ties": list(range(1, 11)),
     # sampled: p = 2469135803 < 3.04e9, digest recorded before the kernels merged
@@ -126,6 +129,9 @@ CASES = {
                               "06a74558b209a6614520f736ab150ffa0db35723ef2a12a821e1763c3f17b127"),
     "extract-integers-large": (["extract-integers", "{ints_large}"],
                                "f91a742da1d2830c02da2dc179e3b811de5a23885477b9caa29994230ba6a684"),
+    # recorded before each distinct row was scattered on its own
+    "extract-integers-rows": (["extract-integers", "{ints_rows}"],
+                              "402948a8257b63000dac0953b51637ca1d5c5432201db4e532cac2a54a9aa006"),
     "extract-integers-ties": (["extract-integers", "{ints_ties}"],
                               "193247e7850e74f281b6939f6f74ee640d6bfc71c554e52f5814d0cc89fcce02"),
     "extract-integers-sampled": (["extract-integers", "{ints_sampled}", "--sample", "3000",

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -93,7 +94,8 @@ def test_best_column_matches_brute_force() -> None:
 @given(st.data())
 def test_best_column_fallback_kernel_agrees(data) -> None:
     # The kernel counts x in [0, (p-1)/2] only: interval rows (|b| <= p/6),
-    # column rows (|b| > p/6, up to ~p/2), and flushes mid-row-list.
+    # column rows (|b| > p/6, up to ~p/2), and repeated rows scattered once
+    # with their multiplicity.
     top = data.draw(st.integers(1, 2000), label="max |b|")
     mags = data.draw(st.lists(
         st.one_of(st.integers(1, max(1, top // 20)), st.integers(1, top)), max_size=9,
@@ -105,15 +107,13 @@ def test_best_column_fallback_kernel_agrees(data) -> None:
                                            st.sampled_from([1, -1])), max_size=3))
     vals += [s * vals[i] for i, s in repeats]  # duplicates and +-b pairs
     vals = data.draw(st.permutations(vals))
-    flush = data.draw(st.sampled_from([1, 7, integers._FLUSH_CELLS]), label="flush")
 
     c = choose_prime(vals)
     p, k = c.p, c.k
     want = naive.column_counts_brute(vals, p, k)
     assert all(want[x] == want[p - x] for x in range(1, p))
-    with mock.patch.object(integers, "_FLUSH_CELLS", flush):
-        counts = integers._column_counts([b % p for b in vals], k, p)
-        got = best_column(vals, c)
+    counts = integers._column_counts([b % p for b in vals], k, p)
+    got = best_column(vals, c)
     assert counts.tolist() == want[: (p - 1) // 2 + 1]
     assert (got.x, got.count, got.hits) == naive.best_column_brute(vals, p, k)
 
@@ -199,6 +199,27 @@ def test_dispatch_keeps_criterion_01_on_interval_kernel() -> None:
         if sieve[p]:
             h = (p - 1) // 2
             assert not integers._fft_pays(list(range(h, max(0, h - 24), -1)), p), p
+
+
+def test_interval_kernel_scratch_is_bounded_in_m() -> None:
+    # 5000 interval rows and one column row at p = 2000003: each distinct a
+    # is scattered as soon as it is reached, so beyond edges, direct and
+    # half_band (8h bytes each) scratch stays within one row.  The peak reads
+    # about 23.1 MiB, and 22.9 MiB with 25 rows at the same p.
+    vals = [*range(1, 5001), 10**6]
+    c = choose_prime(vals)
+    assert c.p == 2000003
+    residues = [b % c.p for b in vals]
+    assert not integers._fft_pays(residues, c.p)
+    h = (c.p - 1) // 2
+    tracemalloc.start()
+    try:
+        counts = integers._column_counts(residues, c.k, c.p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8 * h
+    assert 2 * int(counts[1:].sum()) == len(vals) * (c.k + 1)
 
 
 def test_column_totals_identity() -> None:
