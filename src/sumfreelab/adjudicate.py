@@ -223,7 +223,7 @@ def _hit_table(spec: GroupSpec, m: int) -> np.ndarray:
     table = table.astype(np.min_scalar_type(m))
     hits = table.reshape(q - 1, len(windows), q)
     tallies = _tally(hits.sum(axis=0, dtype=np.int64), hits.sum(axis=2, dtype=np.int64).T, range(q))
-    problems = verify_report(_report(seq, divisor_profile(seq), tallies, workers=1), seq)
+    problems = verify_report(_report(seq, divisor_profile(seq), tallies), seq)
     if problems:
         raise RuntimeError(f"hit table of Z_{n}^{s}: {problems[0]} (of {len(problems)} problems)")
     return table

@@ -24,7 +24,6 @@ from .extremal import density, rhemtulla_street_bound, tightness_instance
 from .groups import GroupSequence
 from .integers import extract_sum_free_subset, parse_integer_lines
 from .scanner import (
-    DEFAULT_SCAN_CAP,
     GroupExtraction,
     ScanReport,
     extract_sum_free_group,
@@ -60,13 +59,7 @@ def cmd_extract_integers(args: argparse.Namespace) -> Outcome:
 
 def cmd_scan(args: argparse.Namespace) -> Outcome:
     seq = jsonio.load_group_sequence(Path(args.group).read_text())
-    report = full_scan(
-        seq,
-        workers=args.workers,
-        cap=args.cap,
-        sample=args.sample,
-        seed=args.seed,
-    )
+    report = full_scan(seq, workers=args.workers, sample=args.sample, seed=args.seed)
     extraction = extract_sum_free_group(seq, report)
     text = jsonio.dumps(jsonio.scan_report_to_dict(report, extraction))
     return text, _group_problems(report, seq, extraction)
@@ -148,8 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="exhaustive multiplier scan of a group sequence")
     p.add_argument("group", help="group sequence JSON file")
     p.add_argument("--workers", type=int, default=1, help="thread count (default 1)")
-    p.add_argument("--cap", type=int, default=DEFAULT_SCAN_CAP,
-                   help="largest group order scanned exhaustively")
     p.add_argument("--sample", type=int, help="scan only this many random multipliers")
     p.add_argument("--seed", type=int, help="seed for --sample")
     _add_output(p)

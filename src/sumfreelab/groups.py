@@ -34,7 +34,8 @@ class GroupSpec:
             raise ValueError(f"modulus must be at least 2, got {self.n}")
         if self.s < 1:
             raise ValueError(f"rank must be at least 1, got {self.s}")
-        if self.n**self.s > self.cap:
+        # n >= 2, so n**s > cap once s reaches cap's bit length: no huge n**s is built.
+        if self.s >= self.cap.bit_length() or self.n**self.s > self.cap:
             raise ValueError(
                 f"group Z_{self.n}^{self.s} has {self.n}**{self.s} elements, "
                 f"above the cardinality cap {self.cap}"

@@ -97,34 +97,35 @@ def _column_counts(residues: Sequence[int], k: int, p: int) -> np.ndarray:
     counts[p - x] and the upper half is never computed; the first maximum
     over 1 <= x < p always lies in this half.  A row and its negation hit
     the same columns, so rows are grouped by a = min(r, p - r) and each
-    distinct a is scattered once, as soon as it is reached, weighted by its
-    multiplicity; scratch beyond the counts stays within one row:
+    distinct a is scattered once, weighted by its multiplicity, into one
+    count array; scratch beyond it stays within one row:
 
     - small a: x*a mod p lands in the band exactly for x in the intervals
       [(j*p + k)//a + 1, (j*p + 2k + 1)//a], j < ceil(a/2), which go into a
-      difference array (O(a) per row);
+      difference array (O(a) per row), summed in place once they all are;
     - large a: the band's lower half c in (k, (p-1)/2] pulls back to the
-      columns c * a^-1 mod p, folded into the half, one of each pair +-c
-      (O(p/6) per row).
+      columns c * a^-1 mod p, folded into the half, one of each pair +-c,
+      and each hit column is scattered into the summed counts (O(p/6) per
+      row).
     """
     h = (p - 1) // 2
     small = p // 6  # endpoints of a small row cost about as much as columns at a = p/6
-    edges = np.zeros(h + 2, dtype=np.int64)  # difference array of the interval rows
-    direct = np.zeros(h + 1, dtype=np.int64)  # hit counts of the column rows
-    half_band = np.arange(k + 1, h + 1, dtype=np.int64)
+    rows = Counter(min(r, p - r) for r in residues)
+    counts = np.zeros(h + 2, dtype=np.int64)  # difference array of the interval rows
     # Scatter-adds update in place: a bincount per row would allocate and
     # fault in a fresh h-sized array each time, the dominant cost at small m.
-    for a, w in Counter(min(r, p - r) for r in residues).items():
+    for a, w in rows.items():
         if a <= small:
             jp = np.arange((a + 1) // 2, dtype=np.int64) * p
-            np.add.at(edges, (jp + k) // a + 1, w)  # a <= p/6 keeps every start <= h
-            np.subtract.at(edges, np.minimum((jp + (2 * k + 1)) // a + 1, h + 1), w)
-        else:
-            x = half_band * pow(a, -1, p)
+            np.add.at(counts, (jp + k) // a + 1, w)  # a <= p/6 keeps every start <= h
+            np.subtract.at(counts, np.minimum((jp + (2 * k + 1)) // a + 1, h + 1), w)
+    counts = np.cumsum(counts[: h + 1], out=counts[: h + 1])
+    for a, w in rows.items():
+        if a > small:
+            x = np.arange(k + 1, h + 1, dtype=np.int64)
+            x *= pow(a, -1, p)
             x %= p
-            np.add.at(direct, np.minimum(x, p - x, out=x), w)
-    counts = np.cumsum(edges[: h + 1], out=edges[: h + 1])
-    counts += direct
+            np.add.at(counts, np.minimum(x, p - x, out=x), w)
     return counts
 
 

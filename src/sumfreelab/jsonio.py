@@ -98,7 +98,7 @@ _ADJUDICATION_WINDOW_KEYS = (
 
 def _scan_keys(r: ScanReport, table: tuple[tuple[str, str], ...], *omit: str) -> dict:
     """A scan's own fields, its divisor profile and its per-window keys."""
-    out = _fields(r, "workers", "profile", "windows", *omit)
+    out = _fields(r, "profile", "windows", *omit)
     out["divisor_profile"] = r.profile.pairs
     for key, stat in table:
         out.update(_numbered(key, (getattr(w, stat) for w in r.windows)))

@@ -45,7 +45,7 @@ import os
 import random
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Sequence
 
@@ -172,7 +172,6 @@ class ScanReport:
     s: int
     m: int
     exhaustive: bool
-    workers: int = field(compare=False)
     sample_size: int | None
     seed: int | None
     profile: DivisorProfile
@@ -402,7 +401,6 @@ def _report(
     profile: DivisorProfile,
     tallies: Sequence[_Tally],
     *,
-    workers: int,
     sample_size: int | None = None,
     seed: int | None = None,
 ) -> ScanReport:
@@ -430,7 +428,6 @@ def _report(
         s=spec.s,
         m=len(seq),
         exhaustive=exhaustive,
-        workers=workers,
         sample_size=sample_size,
         seed=seed,
         profile=profile,
@@ -442,7 +439,6 @@ def full_scan(
     seq: GroupSequence,
     *,
     workers: int = 1,
-    cap: int = DEFAULT_SCAN_CAP,
     sample: int | None = None,
     seed: int | None = None,
 ) -> ScanReport:
@@ -460,12 +456,12 @@ def full_scan(
     profile = divisor_profile(seq)
 
     if sample is not None:
-        return _sampled_scan(seq, profile, sample, seed, workers)
+        return _sampled_scan(seq, profile, sample, seed)
 
-    if spec.size > cap:
+    if spec.size > DEFAULT_SCAN_CAP:
         raise ValueError(
             f"group has {spec.size} elements, above the exhaustive scan cap "
-            f"{cap}; pass sample= for a sampled scan"
+            f"{DEFAULT_SCAN_CAP}; pass sample= for a sampled scan"
         )
 
     windows = scan_windows(n)
@@ -486,7 +482,7 @@ def full_scan(
             parts = pool.map(scan, [blocks[i::threads] for i in range(threads)])
             results = [per_block for part in parts for per_block in part]
     tallies = [_merge(per_block) for per_block in zip(*results)]
-    return _report(seq, profile, tallies, workers=workers)
+    return _report(seq, profile, tallies)
 
 
 def dots_fit_int64(width: int, base: int, n: int) -> bool:
@@ -620,14 +616,13 @@ def _sampled_scan(
     profile: DivisorProfile,
     sample: int,
     seed: int | None,
-    workers: int,
 ) -> ScanReport:
     # A multiplier's coordinates are the base-n digits of its index.
     spec = seq.spec
     count, tallies = _sampled_tallies(
         spec.size, sample, seed, spec.n, seq.elements, spec.n, scan_windows(spec.n)
     )
-    return _report(seq, profile, tallies, workers=workers, sample_size=count, seed=seed)
+    return _report(seq, profile, tallies, sample_size=count, seed=seed)
 
 
 def verify_report(report: ScanReport, seq: GroupSequence) -> list[str]:

@@ -1,6 +1,7 @@
 """Group arithmetic, gcd classes, and verified windows."""
 
 import random
+import time
 from collections import Counter
 from itertools import product
 
@@ -86,6 +87,11 @@ def test_spec_validation() -> None:
     assert GroupSpec(10, 8).size == 10**8  # exactly at the cap is fine
     with pytest.raises(ValueError):
         GroupSpec(2, 20, cap=100)  # custom cap respected
+    assert GroupSpec(2, 64, cap=2**70).size == 2**64
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        GroupSpec(10, 10**7)  # refused without building 10**(10**7)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_sequence_validation() -> None:

@@ -202,10 +202,10 @@ def test_dispatch_keeps_criterion_01_on_interval_kernel() -> None:
 
 
 def test_interval_kernel_scratch_is_bounded_in_m() -> None:
-    # 5000 interval rows and one column row at p = 2000003: each distinct a
-    # is scattered as soon as it is reached, so beyond edges, direct and
-    # half_band (8h bytes each) scratch stays within one row.  The peak reads
-    # about 23.1 MiB, and 22.9 MiB with 25 rows at the same p.
+    # 5000 interval rows and one column row at p = 2000003: every distinct a
+    # is scattered into one count array (8h bytes), so beyond it scratch
+    # stays within one row.  The peak reads about 12.9 MiB, and 12.7 MiB
+    # with 25 rows at the same p.
     vals = [*range(1, 5001), 10**6]
     c = choose_prime(vals)
     assert c.p == 2000003
@@ -218,7 +218,7 @@ def test_interval_kernel_scratch_is_bounded_in_m() -> None:
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 8 * h
+    assert peak < 2 * 8 * h
     assert 2 * int(counts[1:].sum()) == len(vals) * (c.k + 1)
 
 
