@@ -45,6 +45,13 @@ GROUPS = {
     "z6x4": _seeded_group(640, 6, 4, 300),
     # n = 2, rank 7: every first digit is its own negation
     "z2x7": _seeded_group(27, 2, 7, 9),
+    # sampled, base 4000: base * m = 400000 cells of digit terms, more than one
+    # chunk of the sampled kernel holds, so the entries split into spans
+    "z4000x2": _seeded_group(40002, 4000, 2, 100),
+    # sampled, three base-200 digits per multiplier
+    "z200x3": _seeded_group(2003, 200, 3, 40),
+    # sampled, base 1000003: above the digit-term table cap
+    "z1000003": _seeded_group(1000003, 1000003, 1, 20),
 }
 
 _wide = random.Random(2000)
@@ -100,6 +107,14 @@ CASES = {
                       "6ef0222a6c2ceb4273d728d4ad511b62f620b48381b3791282ec80a6830a4656"),
     "scan-sampled": (["scan", "{z30x2}", "--sample", "40", "--seed", "3"],
                      "adfeea079c846fc0243884c10fc58a6e3b51d73a8611288304c755cb2db95853"),
+    # the next three recorded before sampled scans built dot products from
+    # per-digit term tables
+    "scan-sampled-spans": (["scan", "{z4000x2}", "--sample", "20000", "--seed", "21"],
+                           "872a8b99ffc4d206b0b1227a585cab494ffc60edeb2838ae2f1cc098ee86d504"),
+    "scan-sampled-rank3": (["scan", "{z200x3}", "--sample", "5000", "--seed", "22"],
+                           "230b4703538a6275c438cc5b851f25f7509556f3ca1a59c6a4c3b429fb7bfe02"),
+    "scan-sampled-wide-base": (["scan", "{z1000003}", "--sample", "3000", "--seed", "23"],
+                               "043559cc21a6cc39ba4404ad358fffd423c5bd7f9c441397e22c79355bb828a1"),
     "adjudicate": (["adjudicate", "{z12}"],
                    "4ba35a7830d6cfc95a577c86459e74ca8b4d30dfbf9116492c558c78e250d310"),
     "prime-case": (["prime-case", "--p", "11", "--s", "2", "--trials", "4", "--seed", "5"],
