@@ -27,7 +27,14 @@ array whatever m is.  All counting is integer exact, and block results
 merge into sums and a smallest-index best whatever their order, so any
 worker count produces the identical report.  Sampled scans, of groups
 and of integers alike, all run through one chunked kernel,
-`_sampled_tallies`.  Its multipliers are exactly
+`_sampled_tallies`.  Where one entry's digit terms digit * b_j mod n, a
+column of `base` cells in the narrowest unsigned dtype that holds
+2(n - 1), fit in _CHUNK_CELLS bytes, it builds per-coordinate term
+tables for a span of entries at a time and makes each chunk's dot
+products by gathering and adding their rows, reduced as min(d, d - n).
+A wider base (the integer path's widest digits, a rank-1 group of more
+than about 2^16 elements) keeps one int64 matmul and `%`, so no table is
+sized by the base.  Its multipliers are exactly
 sorted(random.Random(seed).sample(...)).  `_draw_multipliers` reproduces
 them in numpy, by loading the seeded Mersenne Twister state into
 numpy's MT19937 and replaying CPython's getrandbits words and
@@ -558,6 +565,28 @@ def _draw_multipliers(size: int, count: int, seed: int) -> np.ndarray:
     return picked
 
 
+def _digit_terms(b: np.ndarray, base: int, n: int, dtype: np.dtype) -> np.ndarray:
+    """T[digit, i] = digit * b[i] mod n for digits in [0, base), residues b
+    in [0, n), in the unsigned `dtype`, which holds 2(n - 1).
+
+    Built by doubling, T[h + d] = T[d] + (h * b mod n), with every sum
+    reduced as min(d, d - n), so no cell is multiplied or divided.
+    """
+    terms = np.empty((base, len(b)), dtype=dtype)
+    terms[0] = 0
+    step = b.astype(dtype)
+    h = 1
+    while h < base:
+        k = min(h, base - h)
+        block = terms[h : h + k]
+        np.add(terms[:k], step, out=block)
+        np.minimum(block, block - n, out=block)
+        step += step
+        np.minimum(step, step - n, out=step)
+        h += k
+    return terms
+
+
 def _sampled_tallies(
     size: int,
     sample: int,
@@ -575,6 +604,19 @@ def _sampled_tallies(
     multipliers scanned and one tally per window.  Samples above
     DEFAULT_SCAN_CAP, and dot products that could reach 2^63, are refused
     before anything is drawn.
+
+    Which dot builder runs depends only on the base against the table
+    cap: one entry's digit terms, base cells in the narrowest unsigned
+    dtype that holds 2(n - 1), must fit in _CHUNK_CELLS bytes.  Then the
+    entries go in spans of as many as fit, coordinate j of a span gets
+    the table T_j[digit, i] = digit * b_ij mod n (`_digit_terms`), and a
+    chunk's dot products are T_0's rows gathered by digit 0 plus each
+    later T_j's rows, reduced as min(d, d - n) after each add; each
+    span's hits add up.  A wider base, such as the integer path's widest
+    digits or a rank-1 group of more than about 2^16 elements, would need
+    tables sized by the base, so there the digits go through one int64
+    matmul and `%`.  Hits per multiplier are counted in the narrowest
+    dtype that holds m.
     """
     if seed is None:
         raise ValueError("sampled scans require a seed")
@@ -592,22 +634,39 @@ def _sampled_tallies(
             "can reach 2**63; the sampled scan needs exact int64 indices and dot products"
         )
     multipliers = _draw_multipliers(size, count, seed)
-    rmat = np.array(rows, dtype=np.int64).T
-    m = rmat.shape[1]
-    counts = np.empty((len(windows), count), dtype=np.int64)
+    entries = np.array(rows, dtype=np.int64)
+    m = len(entries)
+    counts = np.zeros((len(windows), count), dtype=np.min_scalar_type(m))
     row_totals = np.zeros((len(windows), m), dtype=np.int64)
-    chunk = max(1, _CHUNK_CELLS // (m + width))
-    for lo in range(0, count, chunk):
-        q = multipliers[lo : lo + chunk]
-        coords = np.empty((q.size, width), dtype=np.int64)
-        for j in reversed(range(width)):
-            q, coords[:, j] = np.divmod(q, base)
-        dots = coords @ rmat
-        dots %= n
-        for w, c, rt in zip(windows, counts, row_totals):
-            hit = w.inside(dots)
-            c[lo : lo + chunk] = hit.sum(axis=1)
-            rt += hit.sum(axis=0)
+    dtype = np.min_scalar_type(2 * (n - 1))
+    entry_bytes = base * dtype.itemsize
+    tables = entry_bytes <= _CHUNK_CELLS
+    span = _CHUNK_CELLS // entry_bytes if tables else m
+    for e0 in range(0, m, span):
+        part = entries[e0 : e0 + span]
+        if tables:
+            terms = [_digit_terms(b, base, n, dtype) for b in part.T]
+        chunk = max(1, _CHUNK_CELLS // (len(part) + width))
+        chunk_dtype = np.min_scalar_type(chunk)
+        for lo in range(0, count, chunk):
+            q = multipliers[lo : lo + chunk]
+            coords = np.empty((width, q.size), dtype=np.int64)
+            for j in reversed(range(width)):
+                q, coords[j] = np.divmod(q, base)
+            if tables:
+                dots = np.take(terms[0], coords[0], axis=0)
+                for term, c in zip(terms[1:], coords[1:]):
+                    dots += np.take(term, c, axis=0)
+                    np.minimum(dots, dots - n, out=dots)
+                # Entry-major, so both sums below run along contiguous rows.
+                dots = np.ascontiguousarray(dots.T)
+            else:
+                dots = part @ coords
+                dots %= n
+            for w, c, rt in zip(windows, counts, row_totals):
+                hit = w.inside(dots)
+                c[lo : lo + chunk] += hit.sum(axis=0, dtype=c.dtype)
+                rt[e0 : e0 + span] += hit.sum(axis=1, dtype=chunk_dtype)
     return count, _tally(counts, row_totals, multipliers)
 
 

@@ -466,6 +466,79 @@ def test_sampled_scan_matches_recount(n, s, m, sample, seed, data) -> None:
     assert verify_report(report, seq) == []
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 300),
+    s=st.integers(1, 3),
+    m=st.integers(1, 40),
+    sample=st.integers(1, 60),
+    budget=st.sampled_from([1, 7, 1 << 10, scanner._CHUNK_CELLS]),
+    seed=st.integers(0, 2**16),
+)
+# m = 300 needs uint16 counts; at budget 7 each entry is a span of its own
+@example(n=5, s=2, m=300, sample=40, budget=7, seed=1)
+@example(n=7, s=3, m=260, sample=30, budget=scanner._CHUNK_CELLS, seed=2)
+# 2(n - 1) = 254 still sums in uint8; 256 and 598 need uint16
+@example(n=128, s=2, m=9, sample=50, budget=1 << 10, seed=3)
+@example(n=129, s=2, m=9, sample=50, budget=scanner._CHUNK_CELLS, seed=4)
+@example(n=300, s=3, m=40, sample=60, budget=1 << 10, seed=5)
+# every nonzero multiplier of the group
+@example(n=2, s=1, m=3, sample=5, budget=7, seed=6)
+@example(n=3, s=2, m=4, sample=8, budget=1, seed=7)
+def test_sampled_tallies_match_python_recount(n, s, m, sample, budget, seed) -> None:
+    # Budgets 1 and 7 split the multipliers into chunks of a few, and
+    # budgets 7 and 2^10 split the entries into spans of digit terms.
+    rng = random.Random(seed)
+    rows = [[rng.randrange(n) for _ in range(s)] for _ in range(m)]
+    size = n**s
+    with mock.patch.object(scanner, "_CHUNK_CELLS", budget):
+        count, tallies = scanner._sampled_tallies(
+            size, sample, seed, n, rows, n, scanner.scan_windows(n)
+        )
+    idxs = _python_draw(size, min(sample, size - 1), seed)
+    assert count == len(idxs)
+    windows = (naive.middle_third_members(n), naive.sixth_bands_members(n))
+    for members, tally in zip(windows, tallies, strict=True):
+        hits = [
+            [sum(i // n ** (s - 1 - j) % n * b[j] for j in range(s)) % n in members for b in rows]
+            for i in idxs
+        ]
+        counts = [sum(h) for h in hits]
+        best = max(counts)
+        assert tally.grand == sum(counts)
+        assert tally.row_totals.tolist() == [sum(h[k] for h in hits) for k in range(m)]
+        assert tally.hist.tolist() == [counts.count(c) for c in range(m + 1)]
+        assert (tally.best_idx, tally.best_count) == (idxs[counts.index(best)], best)
+        assert tally.zero_count is None
+
+
+def test_sampled_digit_tables_are_bounded() -> None:
+    # Z_4000^2 at m = 2000: one table per digit for every entry would be
+    # 16 MB each; spans keep every table within _CHUNK_CELLS bytes, at a
+    # size that does not depend on m.  A base whose terms alone pass that
+    # cap builds no table: Z_1000003 dots go through the int64 matmul.
+    rng = random.Random(9)
+    built = []
+    real = scanner._digit_terms
+
+    def spy(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    shapes = set()
+    with mock.patch.object(scanner, "_digit_terms", spy):
+        for m in (50, 2000):
+            rows = [[rng.randrange(4000) for _ in range(2)] for _ in range(m)]
+            scanner._sampled_tallies(4000**2, 300, 1, 4000, rows, 4000, scanner.scan_windows(4000))
+            assert built and all(t.nbytes <= scanner._CHUNK_CELLS for t in built)
+            shapes.add(max(t.shape for t in built))
+            built.clear()
+        rows = [[rng.randrange(1000003)] for _ in range(5)]
+        scanner._sampled_tallies(1000003, 300, 1, 1000003, rows, 1000003, scanner.scan_windows(1000003))
+    assert shapes == {(4000, scanner._CHUNK_CELLS // (4000 * 2))}
+    assert built == []
+
+
 def _python_draw(size: int, count: int, seed: int) -> list[int]:
     return sorted(random.Random(seed).sample(range(1, size), count))
 
