@@ -15,15 +15,29 @@ from .groups import GroupSpec
 from .oracle import SumFreeWitness, max_sum_free
 from .primes import is_prime
 
+#: Largest s * bit_length(p) accepted, so p^s has at most 617 decimal
+#: digits: below 640, the least int-to-str digit limit Python can be set
+#: to, so the report prints whatever that setting is.
+MAX_ORDER_BITS = 2048
+
 
 def rhemtulla_street_bound(p: int, s: int) -> int:
-    """Largest sum-free subset size in Z_p^s, p prime, p = 1 mod 3."""
+    """Largest sum-free subset size in Z_p^s, p prime, p = 1 mod 3.
+
+    Refused before p^(s-1) is built when s * bit_length(p) is above
+    MAX_ORDER_BITS.
+    """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if p % 3 != 1:
         raise ValueError(f"{p} is not 1 mod 3; the formula does not apply")
     if s < 1:
         raise ValueError("rank must be at least 1")
+    if s * p.bit_length() > MAX_ORDER_BITS:
+        raise ValueError(
+            f"rank s = {s} times the {p.bit_length()} bits of p = {p} is above the "
+            f"{MAX_ORDER_BITS}-bit cap on the group order p**s"
+        )
     return (p - 1) // 3 * p ** (s - 1)
 
 

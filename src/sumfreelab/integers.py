@@ -400,13 +400,30 @@ def extract_sum_free_subset(
     )
 
 
+#: Longest line `parse_integer_lines` reads as one integer.  Any prime
+#: this module can prove is below 3.3e24, 25 digits, so longer lines are
+#: refused anyway; the cap refuses them before int() and below 640, the
+#: least int-to-str digit limit Python can be set to, so the refusal does
+#: not depend on that setting.
+MAX_LINE_CHARS = 100
+
+
 def parse_integer_lines(lines: Iterable[str]) -> list[int]:
-    """One integer per line; blank lines and text after '#' are ignored."""
+    """One integer per line; blank lines and text after '#' are ignored.
+
+    A line longer than MAX_LINE_CHARS, comment and surrounding space
+    aside, is refused by its number and length.
+    """
     out: list[int] = []
     for ln, raw in enumerate(lines, start=1):
         text = raw.split("#", 1)[0].strip()
         if not text:
             continue
+        if len(text) > MAX_LINE_CHARS:
+            raise ValueError(
+                f"line {ln}: {len(text)} characters, above the {MAX_LINE_CHARS}-character "
+                "cap on one integer"
+            )
         try:
             out.append(int(text))
         except ValueError:

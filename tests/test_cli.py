@@ -2,7 +2,11 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +16,23 @@ from sumfreelab.cli import main
 from sumfreelab.groups import GroupSpec
 from sumfreelab.primes import PROVEN_LIMIT
 from sumfreelab.scanner import DEFAULT_SCAN_CAP, InequalityRow
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_cli(args, env=None, timeout=60):
+    """The CLI in a fresh interpreter, with this checkout's package first;
+    env entries set to None are removed from the environment."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    environ = {**os.environ, **(env or {}), "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, "-m", "sumfreelab.cli", *args],
+        env={k: v for k, v in environ.items() if v is not None},
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
 
 
 def write_group(tmp_path, name, n, s, elements):
@@ -255,6 +276,34 @@ def test_extremal(capsys) -> None:
     assert main(["extremal", "5", "1"]) == 2
     assert main(["extremal", "9", "1"]) == 2
     capsys.readouterr()
+
+
+def test_extremal_huge_rank_refused_at_once() -> None:
+    # 7**(10**7) once took ~38 s, and was refused only by the int-to-str
+    # digit limit; the rank is now checked before the power is built.
+    t0 = time.perf_counter()
+    proc = run_cli(["extremal", "7", "10000000"], timeout=30)
+    elapsed = time.perf_counter() - t0
+    assert proc.returncode == 2
+    assert "rank s = 10000000" in proc.stderr and "Traceback" not in proc.stderr
+    assert elapsed < 2
+
+
+def test_extract_integers_long_line_refused_by_length(tmp_path) -> None:
+    # The same refusal whatever Python's int-to-str digit limit: before
+    # the length check, the default limit refused this line with a
+    # message that echoed all 5001 digits, and with no limit the
+    # primality range refused it instead.
+    src = tmp_path / "long.txt"
+    src.write_text("1\n2\n" + "1" + "0" * 5000 + "\n")
+    errs = set()
+    for limit in (None, "0"):
+        proc = run_cli(["extract-integers", str(src)], env={"PYTHONINTMAXSTRDIGITS": limit})
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr and "0" * 200 not in proc.stderr
+        errs.add(proc.stderr)
+    (err,) = errs
+    assert "line 3: 5001 characters" in err
 
 
 def test_prime_case_command(capsys) -> None:
