@@ -29,12 +29,13 @@ worker count produces the identical report.  Sampled scans, of groups
 and of integers alike, all run through one chunked kernel,
 `_sampled_tallies`.  Where one entry's digit terms digit * b_j mod n, a
 column of `base` cells in the narrowest unsigned dtype that holds
-2(n - 1), fit in _CHUNK_CELLS bytes, it builds per-coordinate term
-tables for a span of entries at a time and makes each chunk's dot
-products by gathering and adding their rows, reduced as min(d, d - n).
-A wider base (the integer path's widest digits, a rank-1 group of more
-than about 2^16 elements) keeps one int64 matmul and `%`, so no table is
-sized by the base.  Its multipliers are exactly
+2(n - 1), fit in _CHUNK_CELLS bytes and that dtype is narrower than 64
+bits, it builds per-coordinate term tables for a span of entries at a
+time and makes each chunk's dot products by gathering and adding their
+rows, reduced as min(d, d - n).  Otherwise (the integer path's widest
+digits or its p above 2^31, a rank-1 group of more than 2^16 elements)
+it keeps one int64 matmul and `%`, so no table is sized by the base.
+Its multipliers are exactly
 sorted(random.Random(seed).sample(...)).  `_draw_multipliers` reproduces
 them in numpy, by loading the seeded Mersenne Twister state into
 numpy's MT19937 and replaying CPython's getrandbits words and
@@ -605,18 +606,23 @@ def _sampled_tallies(
     DEFAULT_SCAN_CAP, and dot products that could reach 2^63, are refused
     before anything is drawn.
 
-    Which dot builder runs depends only on the base against the table
+    Which dot builder runs depends only on base and n against the table
     cap: one entry's digit terms, base cells in the narrowest unsigned
-    dtype that holds 2(n - 1), must fit in _CHUNK_CELLS bytes.  Then the
-    entries go in spans of as many as fit, coordinate j of a span gets
-    the table T_j[digit, i] = digit * b_ij mod n (`_digit_terms`), and a
-    chunk's dot products are T_0's rows gathered by digit 0 plus each
-    later T_j's rows, reduced as min(d, d - n) after each add; each
-    span's hits add up.  A wider base, such as the integer path's widest
-    digits or a rank-1 group of more than about 2^16 elements, would need
-    tables sized by the base, so there the digits go through one int64
-    matmul and `%`.  Hits per multiplier are counted in the narrowest
-    dtype that holds m.
+    dtype that holds 2(n - 1), must fit in _CHUNK_CELLS bytes, and that
+    dtype must be narrower than 64 bits.  Then the entries go in spans of
+    as many as fit, coordinate j of a span gets the table T_j[digit, i] =
+    digit * b_ij mod n (`_digit_terms`), and a chunk's dot products are
+    T_0's rows gathered by digit 0 plus each later T_j's rows, reduced as
+    min(d, d - n) after each add; each span's hits add up.  Otherwise the
+    digits go through one int64 matmul and `%`: a wider base, such as the
+    integer path's widest digits or a rank-1 group of more than 2^16
+    elements, would need tables sized by the base, and 64-bit terms are
+    as wide as the matmul's own cells but take three passes per digit
+    (gathering them for 20000 multipliers, m = 24, p ~ 2e14 and 2e15,
+    took 6.9 and 10.0 ms against 4.3 and 5.9 ms for the matmul and `%`;
+    2-core x86-64).  So integer sampled scans with p above 2^31 keep the
+    matmul.  Hits per multiplier are counted in the narrowest dtype that
+    holds m.
     """
     if seed is None:
         raise ValueError("sampled scans require a seed")
@@ -640,7 +646,7 @@ def _sampled_tallies(
     row_totals = np.zeros((len(windows), m), dtype=np.int64)
     dtype = np.min_scalar_type(2 * (n - 1))
     entry_bytes = base * dtype.itemsize
-    tables = entry_bytes <= _CHUNK_CELLS
+    tables = entry_bytes <= _CHUNK_CELLS and dtype.itemsize < 8
     span = _CHUNK_CELLS // entry_bytes if tables else m
     for e0 in range(0, m, span):
         part = entries[e0 : e0 + span]
@@ -655,8 +661,8 @@ def _sampled_tallies(
                 q, coords[j] = np.divmod(q, base)
             if tables:
                 dots = np.take(terms[0], coords[0], axis=0)
-                for term, c in zip(terms[1:], coords[1:]):
-                    dots += np.take(term, c, axis=0)
+                for term, digits in zip(terms[1:], coords[1:]):
+                    dots += np.take(term, digits, axis=0)
                     np.minimum(dots, dots - n, out=dots)
                 # Entry-major, so both sums below run along contiguous rows.
                 dots = np.ascontiguousarray(dots.T)

@@ -516,7 +516,8 @@ def test_sampled_digit_tables_are_bounded() -> None:
     # Z_4000^2 at m = 2000: one table per digit for every entry would be
     # 16 MB each; spans keep every table within _CHUNK_CELLS bytes, at a
     # size that does not depend on m.  A base whose terms alone pass that
-    # cap builds no table: Z_1000003 dots go through the int64 matmul.
+    # cap, or terms that need 64 bits, build no table: Z_1000003 and an
+    # integer-path scan at p ~ 2e14 go through the int64 matmul.
     rng = random.Random(9)
     built = []
     real = scanner._digit_terms
@@ -535,6 +536,9 @@ def test_sampled_digit_tables_are_bounded() -> None:
             built.clear()
         rows = [[rng.randrange(1000003)] for _ in range(5)]
         scanner._sampled_tallies(1000003, 300, 1, 1000003, rows, 1000003, scanner.scan_windows(1000003))
+        p = 200000000000003
+        rows = [[rng.randrange(p) for _ in range(4)] for _ in range(5)]
+        scanner._sampled_tallies(4096**4, 300, 1, 4096, rows, p, scanner.scan_windows(p))
     assert shapes == {(4000, scanner._CHUNK_CELLS // (4000 * 2))}
     assert built == []
 
