@@ -10,6 +10,7 @@ to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -121,7 +122,10 @@ def _add_output(p: argparse.ArgumentParser) -> None:
     p.add_argument("-o", "--output", help="write the report here instead of stdout")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: parse_args fills a
+    fresh namespace on every call, so nothing carries over between calls."""
     parser = argparse.ArgumentParser(
         prog="sumfreelab",
         description="Sum-free subset extraction and exact window statistics",

@@ -19,7 +19,7 @@ import numpy as np
 from .groups import Window, window_prime_target
 from .oracle import is_sum_free
 from .primes import is_prime, next_prime_2_mod_3
-from .scanner import DEFAULT_SCAN_CAP, _sampled_tallies, dots_fit_int64
+from .scanner import DEFAULT_SCAN_CAP, _digit_terms, _sampled_tallies, dots_fit_int64
 
 @dataclass(frozen=True)
 class PrimeChoice:
@@ -106,26 +106,54 @@ def _column_counts(residues: Sequence[int], k: int, p: int) -> np.ndarray:
     - large a: the band's lower half c in (k, (p-1)/2] pulls back to the
       columns c * a^-1 mod p, folded into the half, one of each pair +-c,
       and each hit column is scattered into the summed counts (O(p/6) per
-      row).
+      row).  Writing c = J*B + i with B = isqrt((p-1)/2) + 1, the column
+      is (J*B*a^-1 mod p) + (i*a^-1 mod p) reduced once: two tables of B
+      entries per row, built for all large rows by one `_digit_terms`
+      call.  A hit column then costs one add and two minimums, d - p and
+      p - x, in the narrowest unsigned dtype that holds 2(p - 1), with no
+      multiply or mod per cell.
+
+    Counts are kept in the narrowest unsigned dtype that holds m.  The
+    difference array and its cumsum wrap modulo 2^bits, but every true
+    count lies in [0, m], so each one comes out exact.
     """
     h = (p - 1) // 2
     small = p // 6  # endpoints of a small row cost about as much as columns at a = p/6
     rows = Counter(min(r, p - r) for r in residues)
-    counts = np.zeros(h + 2, dtype=np.int64)  # difference array of the interval rows
+    dtype = np.min_scalar_type(len(residues))
+    counts = np.zeros(h + 2, dtype=dtype)  # difference array of the interval rows
     # Scatter-adds update in place: a bincount per row would allocate and
     # fault in a fresh h-sized array each time, the dominant cost at small m.
+    # Weights go in as the counts' own scalar type: a Python int sends
+    # np.add.at off its fast path (31 ms against 0.9 ms for 320k uint8 cells).
     for a, w in rows.items():
         if a <= small:
             jp = np.arange((a + 1) // 2, dtype=np.int64) * p
-            np.add.at(counts, (jp + k) // a + 1, w)  # a <= p/6 keeps every start <= h
-            np.subtract.at(counts, np.minimum((jp + (2 * k + 1)) // a + 1, h + 1), w)
-    counts = np.cumsum(counts[: h + 1], out=counts[: h + 1])
-    for a, w in rows.items():
-        if a > small:
-            x = np.arange(k + 1, h + 1, dtype=np.int64)
-            x *= pow(a, -1, p)
-            x %= p
-            np.add.at(counts, np.minimum(x, p - x, out=x), w)
+            np.add.at(counts, (jp + k) // a + 1, dtype.type(w))  # a <= p/6 keeps every start <= h
+            np.subtract.at(counts, np.minimum((jp + (2 * k + 1)) // a + 1, h + 1), dtype.type(w))
+    counts = np.cumsum(counts[: h + 1], dtype=dtype, out=counts[: h + 1])
+    large = [(a, w) for a, w in rows.items() if a > small]
+    if not large:
+        return counts
+    base = math.isqrt(h) + 1  # base**2 > h: each c <= h is J*base + i with J, i < base
+    cell = np.min_scalar_type(2 * (p - 1))
+    inv = np.array([pow(a, -1, p) for a, _ in large], dtype=np.int64)
+    # Row r pulls column c = J*base + i back to lead[J, r] + tail[i, r] mod p;
+    # the blocks J = lo..h//base cover the band's lower half (k, h].
+    terms = _digit_terms(np.concatenate([inv, base * inv % p]), base, p, cell)
+    tail = terms[:, : len(inv)]
+    lo = (k + 1) // base
+    lead = terms[lo : h // base + 1, len(inv) :]
+    band = slice(k + 1 - lo * base, h + 1 - lo * base)
+    # One row's columns and one temporary, reused by every column row: a
+    # fresh array per step would fault in new pages each time.
+    x = np.empty((len(lead), base), dtype=cell)
+    tmp = np.empty_like(x)
+    for r, (_, w) in enumerate(large):
+        np.add.outer(lead[:, r], tail[:, r], out=x)
+        np.minimum(x, np.subtract(x, p, out=tmp), out=x)
+        np.minimum(x, np.subtract(p, x, out=tmp), out=x)
+        np.add.at(counts, x.ravel()[band], dtype.type(w))
     return counts
 
 
@@ -248,15 +276,17 @@ def _column_counts_fft(residues: Sequence[int], k: int, p: int) -> np.ndarray:
 
 
 #: The FFT kernel's cost in cells of the interval/column kernel (one interval
-#: endpoint or one hit column, about 11 ns each on a 2-core x86-64 machine with
-#: numpy 2.4): 0.4 per p*log2(p), the median of the crossovers measured there
-#: at p = 2e4, 2e5, 1e6, 2e6 and 4e6 with uniform residues (0.52, 0.32, 0.37,
-#: 0.42, 0.41), plus 5000 for its fixed cost (about 55 us, at p = 11).  The
-#: interval kernel's Python overhead of 6-8 us per row is left out, so below
-#: p ~ 1e4, where either kernel takes under a millisecond, the model keeps the
-#: interval kernel; every input with m <= 24 and |b| <= 1e6 stays on it.
-_FFT_CELLS_PER_PLOGP = 0.4
-_FFT_FIXED_CELLS = 5000
+#: endpoint or one hit column, about 5 ns each from p ~ 2e5 up on a 2-core
+#: x86-64 machine with numpy 2.4, about 10 ns at p ~ 2e4): 0.9 per p*log2(p),
+#: the median of the crossovers measured there at p = 2e4, 2e5, 1e6, 2e6 and
+#: 4e6 with uniform residues (0.59, 1.09, 1.03, 0.88, 0.86; each the median
+#: of 7 two-point fits), plus 8000 for its fixed cost (about 40 us, at
+#: p = 11).  The interval kernel's Python overhead, 10-15 us per row and
+#: about 50 us per call at small p, is left out, so below p ~ 1e4, where
+#: either kernel takes under a millisecond, the model keeps the interval
+#: kernel; every input with m <= 24 and |b| <= 1e6 stays on it.
+_FFT_CELLS_PER_PLOGP = 0.9
+_FFT_FIXED_CELLS = 8000
 
 
 def _fft_pays(residues: Sequence[int], p: int) -> bool:

@@ -391,3 +391,35 @@ def test_failed_check_exit_and_stderr(command, tmp_path, z7_file, monkeypatch, c
     captured = capsys.readouterr()
     assert json.loads(captured.out)["schema"] == 1  # the report is still written
     assert captured.err == err
+
+
+def test_cached_parser_carries_nothing_between_calls(tmp_path, z7_file, capsysbinary) -> None:
+    # One process, one parser: each report must equal the one a freshly
+    # built parser gives, whatever ran before it.
+    ints = tmp_path / "ints.txt"
+    ints.write_text("".join(f"{b}\n" for b in range(1, 31)))
+    out = tmp_path / "report.out"
+    runs = [
+        ["extract-integers", str(ints), "--sample", "3", "--seed", "1"],
+        ["extract-integers", str(ints)],
+        ["scan", str(z7_file), "--sample", "2", "--seed", "4", "-o", str(out)],
+        ["scan", str(z7_file)],
+        ["scan", str(z7_file), "--workers", "2"],
+        ["adjudicate", str(z7_file), "--id", "first"],
+        ["adjudicate", str(z7_file)],
+        ["extremal", "7", "1"],
+        ["extract-integers", str(ints)],
+    ]
+
+    def report(argv):
+        assert main(argv) == 0
+        text = capsysbinary.readouterr().out
+        return out.read_bytes() if "-o" in argv else text
+
+    fresh = []
+    for argv in runs:
+        climod.build_parser.cache_clear()
+        fresh.append(report(argv))
+    assert all(fresh) and fresh[0] != fresh[1] and fresh[2] != fresh[3] and fresh[5] != fresh[6]
+    assert climod.build_parser() is climod.build_parser()
+    assert [report(argv) for argv in runs] == fresh

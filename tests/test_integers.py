@@ -201,11 +201,27 @@ def test_dispatch_keeps_criterion_01_on_interval_kernel() -> None:
             assert not integers._fft_pays(list(range(h, max(0, h - 24), -1)), p), p
 
 
+def test_interval_kernel_counts_across_the_dtype_boundary() -> None:
+    # Counts are kept in the narrowest dtype that holds m, and the wrapped
+    # cumsum must still give every count exactly: m = 255 counts in uint8,
+    # 256 and 300 in uint16, and 256 copies of one value put 256 in a column.
+    rng = random.Random(255)
+    cases = [[rng.choice([-1, 1]) * rng.randint(1, 60) for _ in range(m)] for m in (255, 256, 300)]
+    cases += [[7] * 256, [2] * 256 + [45], [40] * 256 + [-3, 50]]
+    for vals in cases:
+        c = choose_prime(vals)
+        counts = integers._column_counts([b % c.p for b in vals], c.k, c.p)
+        assert counts.dtype == np.min_scalar_type(len(vals))
+        assert counts.tolist() == naive.column_counts_brute(vals, c.p, c.k)[: (c.p - 1) // 2 + 1]
+    assert counts.max() >= 256
+
+
 def test_interval_kernel_scratch_is_bounded_in_m() -> None:
     # 5000 interval rows and one column row at p = 2000003: every distinct a
-    # is scattered into one count array (8h bytes), so beyond it scratch
-    # stays within one row.  The peak reads about 12.9 MiB, and 12.7 MiB
-    # with 25 rows at the same p.
+    # is scattered into one count array (2h bytes of uint16 here), and
+    # beyond it scratch stays within one column row, its columns and one
+    # temporary of 4 bytes per hit column (h/3 of them).  The peak reads
+    # about 4.9h bytes, and 3.75h with 25 rows at the same p.
     vals = [*range(1, 5001), 10**6]
     c = choose_prime(vals)
     assert c.p == 2000003
@@ -218,7 +234,7 @@ def test_interval_kernel_scratch_is_bounded_in_m() -> None:
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 8 * h
+    assert peak < 8 * h
     assert 2 * int(counts[1:].sum()) == len(vals) * (c.k + 1)
 
 
