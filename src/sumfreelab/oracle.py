@@ -18,6 +18,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .groups import GroupSpec
+
 #: Hard ceiling on exact-search input length.
 EXACT_SEARCH_LIMIT = 24
 
@@ -72,15 +74,62 @@ def _ints_sum_free(vs: set[int]) -> bool:
     return True
 
 
+def _valid_elements(vs: set, spec: GroupSpec) -> bool:
+    """Whether every value is a rank-s tuple of plain ints in [0, n)."""
+    n, s = spec.n, spec.s
+    return all(
+        type(v) is tuple and len(v) == s and all(type(c) is int and 0 <= c < n for c in v)
+        for v in vs
+    )
+
+
+def _group_sum_free(vs: set, spec: GroupSpec) -> bool:
+    """`is_sum_free` for elements of Z_n^s whose indices fit int64, in
+    numpy: the elements go in index order, and each tile of pairwise
+    sums, a[i:i+R] + a[j:j+T] with j >= i, is formed coordinatewise mod
+    n as indices, which a binary search looks up among the elements'."""
+    n = spec.n
+    coords = np.array(sorted(vs), dtype=np.int64).reshape(len(vs), spec.s)
+    keys = np.zeros(len(vs), dtype=np.int64)
+    for column in coords.T:
+        keys = keys * n + column
+    last = len(keys) - 1
+    # Fewer rows per tile at higher rank keep a tile's coordinates near
+    # _SUM_TILE^2.
+    step = max(1, _SUM_TILE // spec.s)
+    for i in range(0, len(keys), step):
+        rows = coords[i : i + step, None]
+        for j in range(i, len(keys), _SUM_TILE):
+            sums = rows + coords[None, j : j + _SUM_TILE]
+            sums[sums >= n] -= n
+            index = np.zeros(sums.shape[:2], dtype=np.int64)
+            for k in range(spec.s):
+                index *= n
+                index += sums[:, :, k]
+            if (keys[np.minimum(np.searchsorted(keys, index), last)] == index).any():
+                return False
+    return True
+
+
 def is_sum_free(values, add: AddFn = operator.add) -> bool:
     """True when no a1 + a2 with a1, a2 in values (a1 = a2 allowed) is in values.
 
     Works on any hashable values given a matching addition; defaults to
     integer addition.  Note a set containing 0 is never sum-free.
+    Integers of magnitude below 2^62, and valid elements of a GroupSpec
+    of fewer than 2^63 elements under its own `add`, are checked in numpy.
     """
     vs = set(values)
     if add is operator.add and all(type(v) is int and -_INT64_SAFE < v < _INT64_SAFE for v in vs):
         return _ints_sum_free(vs)
+    spec = getattr(add, "__self__", None)
+    if (
+        type(spec) is GroupSpec
+        and getattr(add, "__func__", None) is GroupSpec.add
+        and spec.size < 2**63
+        and _valid_elements(vs, spec)
+    ):
+        return _group_sum_free(vs, spec)
     for a in vs:
         for b in vs:
             if add(a, b) in vs:

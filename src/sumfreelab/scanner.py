@@ -16,16 +16,23 @@ a time as broadcast sums of per-coordinate terms mod n, each reduced as
 min(d, d - n) in the narrowest unsigned dtype that holds 2(n-1).  At
 rank s >= 3 a multiplier is t = s // 2 + 1 leading digits u and s - t
 trailing digits v, and x . b = alpha_b(u) + beta_b(v) mod n.  Each entry
-b of a chunk gets, per window, the table R_b[a, v] = [a + beta_b(v) mod
-n lies in the window], and a block's counts are the sum over b of the
-rows R_b[alpha_b(u)], gathered with np.take: a copy and an add per cell
-and window.  At ranks 1 and 2 each window's bands are tested on the
-dot products by `Window.inside`, as in the sampled kernel.  Counts are
-kept in the narrowest dtype that holds m.  A chunk's scratch, tables
-and row indices included, stays within about _CHUNK_CELLS bytes per
-array whatever m is.  All counting is integer exact, and block results
-merge into sums and a smallest-index best whatever their order, so any
-worker count produces the identical report.  Sampled scans, of groups
+b gets, per window, the table R_b[a, v] = [a + beta_b(v) mod n lies in
+the window], and a block's counts are the sum over b of the rows
+R_b[alpha_b(u)], gathered with np.take: a copy and an add per cell.
+Where a pair table of n^2 rows fits _CHUNK_CELLS bytes (and t >= 3),
+entries go in pairs, whose table row a n + a' is R_b[a] + R_b'[a'], so
+one gather reads two entries.  A sequence whose tables, leading-part
+dot products and histograms fit 16 * _CHUNK_CELLS bytes (4 MiB) has
+them built once per scan and shared by every block and worker thread;
+a longer one is split into chunks of about _CHUNK_CELLS bytes, built
+again in every block.  Row totals come from the same tables: the
+histogram of each entry's leading-part dot products times its rows'
+hits.  At ranks 1 and 2 each window's bands are tested on the dot
+products by `Window.inside`, as in the sampled kernel.  Counts are
+kept in the narrowest dtype that holds m.  All counting is integer
+exact, and block results merge into sums and a smallest-index best
+whatever their order, so any worker count produces the identical
+report.  Sampled scans, of groups
 and of integers alike, all run through one chunked kernel,
 `_sampled_tallies`.  Where one entry's digit terms digit * b_j mod n, a
 column of `base` cells in the narrowest unsigned dtype that holds
@@ -55,7 +62,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -219,22 +226,24 @@ def _tally(
     window; columns[i] is the group index of counts[:, i].
 
     Each column stands for `weight` columns of equal counts, all of
-    larger index, so the best index is unchanged.
+    larger index, so the best index is unchanged.  The grand total is
+    read off the histogram, with no pass over the counts of its own.
     """
     size = row_totals.shape[1] + 1
-    return [
-        _Tally(
-            grand=weight * int(grand),
-            hist=weight * np.bincount(c, minlength=size),
-            best_idx=int(columns[i]),
-            best_count=int(c[i]),
-            row_totals=rt,
-            zero_count=int(c[0]) if columns[0] == 0 else None,
+    tallies = []
+    for c, rt, i in zip(counts, weight * row_totals, counts.argmax(axis=1)):
+        hist = weight * np.bincount(c, minlength=size)
+        tallies.append(
+            _Tally(
+                grand=int(hist @ np.arange(size)),
+                hist=hist,
+                best_idx=int(columns[i]),
+                best_count=int(c[i]),
+                row_totals=rt,
+                zero_count=int(c[0]) if columns[0] == 0 else None,
+            )
         )
-        for c, grand, rt, i in zip(
-            counts, counts.sum(axis=1, dtype=np.int64), weight * row_totals, counts.argmax(axis=1)
-        )
-    ]
+    return tallies
 
 
 def _merge(tallies: Sequence[_Tally]) -> _Tally:
@@ -305,12 +314,121 @@ def _leading_digits(s: int) -> int:
     into the dot product that picks a window row; the other s - t index
     within the row.  At t = s // 2 + 1 an entry's table, n rows of
     n^(s - t) cells, is no larger than the n^t leading parts that read
-    it.  In an earlier form of this kernel the smaller t = ceil(s/2),
-    whose larger tables were rebuilt in every block, scanned Z_11^6 at
-    m = 100 in 68-76 ms against 42-57 ms (2-core x86-64).  Ranks 1 and 2
-    have no trailing digit: there a row would be read about once.
+    it, and from rank 4 a pair table's n^2 rows are no more than one first
+    digit's n^(t - 1) leading parts.  With tables built once per scan,
+    the smaller t = ceil(s/2), whose Z_11^6 tables are too large to pair,
+    scanned Z_11^6 at m = 100 in 23.2 ms against 15.2 ms, and Z_20^4 at
+    m = 60 in 2.55 against 1.84 ms (min of 9, 2-core x86-64).  Ranks 1
+    and 2 have no trailing digit: there a row would be read about once.
     """
     return s // 2 + 1
+
+
+@dataclass(frozen=True)
+class _Chunk:
+    """The rank >= 3 kernel's tables for a chunk of entries, read-only.
+
+    Entry i's leading part (x0, u) has alpha_i = first[i, x0] + later[i, u]
+    less n if that is reached.  The entries go in units of g, in order,
+    and unit k's table row (a_0 n + ... + a_{g-1}) * units + k, for the
+    alphas a_q of its entries, is the sum of their window rows, every
+    window side by side.  shifted[i, f] is the histogram of later[i]
+    rotated by f, and row_hits[i, j, a] is the number of window-j hits in
+    entry i's row a.
+    """
+
+    g: int
+    units: int
+    table: np.ndarray
+    first: np.ndarray
+    later: np.ndarray
+    shifted: np.ndarray
+    row_hits: np.ndarray
+
+    def rows(self, first: np.ndarray, u0: int, u1: int) -> np.ndarray:
+        """The table rows of units u0..u1 at the leading parts whose first
+        digits are first's columns (first = self.first[:, d0:d1]), in the
+        narrowest unsigned dtype that holds them."""
+        g, n = self.g, self.first.shape[1]
+        # Unsigned, so below n the subtraction wraps above the sum and the
+        # minimum keeps it.
+        a = first[u0 * g : u1 * g, :, None] + self.later[u0 * g : u1 * g, None, :]
+        np.minimum(a, a - n, out=a)
+        a = a.reshape(u1 - u0, g, -1)
+        at = a[:, 0].astype(np.min_scalar_type(len(self.table) - 1))
+        for q in range(1, g):
+            at *= n
+            at += a[:, q]
+        if self.units > 1:
+            at *= self.units
+            at += np.arange(u0, u1, dtype=at.dtype)[:, None]
+        return at
+
+
+def _gather_chunk(part: np.ndarray, n: int, t: int, nw: int, g: int) -> _Chunk:
+    """The `_Chunk` of the entries `part`, in units of g entries.  An odd
+    entry out of pairs is paired with the zero entry, whose alpha and
+    beta are 0: its rows are [0 in window], which is never."""
+    if len(part) % g:
+        part = np.concatenate([part, np.zeros((1, part.shape[1]), dtype=part.dtype)])
+    r = len(part)
+    beta = _dots(part[:, t:], 0, n, n)
+    trail = beta.shape[1]
+    cols = (beta[:, None, :] + (np.arange(nw) * n)[:, None]).reshape(r, -1)
+    # rows[a, i] is entry i's row a: _window_rows is symmetric in a and
+    # the offset, and its column j * n + o is window j at a + o.
+    rows = np.take(_window_rows(n), cols, axis=1)
+    row_hits = rows.reshape(n, r, nw, trail).sum(axis=3, dtype=np.min_scalar_type(trail))
+    row_hits = row_hits.transpose(1, 2, 0)
+    if g == 2:
+        rows = np.add(rows[:, None, 0::2], rows[None, :, 1::2])
+    first = (np.multiply.outer(part[:, 0], np.arange(n)) % n).astype(beta.dtype)
+    later = _dots(part[:, 1:t], 0, n, n)
+    hist = np.zeros((r, 2 * n), dtype=np.min_scalar_type(later.shape[1]))
+    # bincount takes intp: slices of entries keep that copy near
+    # _CHUNK_CELLS bytes.
+    step = max(1, _CHUNK_CELLS // (8 * later.shape[1]))
+    for lo in range(0, r, step):
+        # Row k of the slice counts into k * n + residue.
+        k = min(step, r - lo)
+        at = later[lo : lo + k] + (np.arange(k) * n)[:, None]
+        hist[lo : lo + k, :n] = np.bincount(at.ravel(), minlength=k * n).reshape(k, n)
+    hist[:, n:] = hist[:, :n]
+    # shifted[i, f, a] = hist[i, f + a], which is entry i's count of
+    # later dots equal to a - (n - f) mod n.
+    row, cell = hist.strides
+    shifted = np.lib.stride_tricks.as_strided(hist, (r, n + 1, n), (row, cell, cell))
+    return _Chunk(g, r // g, rows.reshape(n**g * (r // g), -1), first, later, shifted, row_hits)
+
+
+def _gather_chunks(rows: np.ndarray, n: int, nw: int) -> tuple[int, Callable[[int], _Chunk]]:
+    """Entries per chunk, and the chunk of entries from lo, for the rank
+    >= 3 kernel.  A whole sequence whose tables fit 16 * _CHUNK_CELLS
+    bytes is one chunk, built here once per scan and shared by every
+    block and thread; a longer one goes in chunks of about _CHUNK_CELLS
+    bytes, each built again in every block.  Entries are paired where a
+    pair table fits _CHUNK_CELLS bytes and t >= 3, so its n^2 rows are
+    no more than one first digit's leading parts."""
+    m, s = rows.shape
+    t = _leading_digits(s)
+    tw = nw * n ** (s - t)
+    g = 2 if t >= 3 and m > 1 and n * n * tw <= _CHUNK_CELLS else 1
+    # An entry's share of its table, first and later, and at most its
+    # histogram and row hits.
+    dots = np.min_scalar_type(2 * (n - 1)).itemsize
+    entry = n**g * tw // g + (n + n ** (t - 1)) * dots + 2 * n * 4 + nw * n * 8
+    if m * entry <= 16 * _CHUNK_CELLS:
+        span = m
+    else:
+        span = max(g, _CHUNK_CELLS // entry // g * g)
+
+    @functools.lru_cache(maxsize=1)
+    def chunk(lo: int) -> _Chunk:
+        return _gather_chunk(rows[lo : lo + span], n, t, nw, g)
+
+    if span == m:
+        chunk(0)
+    return span, chunk
 
 
 def _scan_blocks(
@@ -319,84 +437,63 @@ def _scan_blocks(
     n: int,
     windows: Sequence[Window],
     count_dtype: np.dtype,
+    chunks: tuple[int, Callable[[int], _Chunk]] | None,
 ) -> list[list[_Tally]]:
     """Exact tallies, per block and window, of blocks (d0, d1, weight): the
     columns whose first digit is in [d0, d1), each standing for `weight`
-    columns.  rows is the m x s sequence, scanned a chunk of entries at a
-    time.
+    columns.  rows is the m x s sequence.
 
-    A column x splits into its t leading digits u and the rest v (see
-    `_leading_digits`), and x . b = alpha_b(u) + beta_b(v) mod n.  Entry
-    b's table R_b[a, v] = [a + beta_b(v) mod n lies in the window] is
-    built per chunk of entries (once per scan when one chunk holds them
-    all), from `_window_rows` and beta, for every window side by side; a
-    block's counts are the sum over b of the rows R_b[alpha_b(u)],
-    gathered with np.take and added up, so each cell costs a copy and an
-    add.  Entry b's row total is the sum over a
-    of (leading parts u with alpha_b(u) = a) * (hits in row a).  With no
-    trailing digit (s <= 2) each window's bands are tested on the dot
-    products instead, by `Window.inside`.
+    With no trailing digit (s <= 2) each window's bands are tested on a
+    chunk of entries' dot products at a time, by `Window.inside`.
+    Otherwise `chunks` is `_gather_chunks`' (span, chunk): a column x
+    splits into its t leading digits u and the rest v (see
+    `_leading_digits`), x . b = alpha_b(u) + beta_b(v) mod n, and a
+    block's counts are the sum of the table rows its leading parts pick
+    (see `_Chunk`), gathered with np.take a few units at a time: a copy
+    and an add per cell for each unit, which is two entries wherever
+    they are paired.  The row indices are made for about _CHUNK_CELLS
+    leading parts at a time, in the narrowest unsigned dtype that holds
+    them, so neither their calls nor their bytes grow with the block.
+    Entry b's row total is
+    the sum over a of uses[b, a] * (hits in row a), where uses[b, a], the
+    leading parts of the block with alpha_b = a, is the histogram of
+    later[b] rotated by first[b, x0], summed over the block's first
+    digits x0.
     """
     m, s = rows.shape
     nw = len(windows)
-    t = _leading_digits(s)
-    low, trail = n ** (s - 1), n ** (s - t)
-    widths = [(d1 - d0) * low for d0, d1, _ in blocks]
-    pers = [max(1, _CHUNK_CELLS // width) for width in widths]
-    if t < s:
-        # A chunk's tables (bytes), and a block's row indices for it (intp),
-        # each stay within _CHUNK_CELLS bytes.
-        index_bytes = np.dtype(np.intp).itemsize * max(widths) // trail
-        span = min(m, max(1, _CHUNK_CELLS // max(n * nw * trail, index_bytes)))
-        offsets = (np.arange(nw) * n)[:, None]
-        window_rows = _window_rows(n)
-
-        @functools.lru_cache(maxsize=1)
-        def chunk(lo: int):
-            # No block enters here, so a sequence of one chunk builds this
-            # once per scan.  Row a * r + i of the table is R_i[a] of each
-            # window in turn.  Leading part (x0, u) picks the row first[i,
-            # x0] + later[i, u], less n * r if that is reached: the row of
-            # a = x0 b_i0 + (dots of u) mod n.
-            part = rows[lo : lo + span]
-            r = len(part)
-            beta = (_dots(part[:, t:], 0, n, n)[:, None, :] + offsets).reshape(-1)
-            table = np.take(window_rows, beta, axis=1)
-            row_hits = table.reshape(n, r, nw, trail).sum(axis=3, dtype=np.int64)
-            first = (np.multiply.outer(part[:, 0], np.arange(n)) % n * r).astype(np.uintp)
-            later = np.multiply(_dots(part[:, 1:t], 0, n, n), r, dtype=np.uintp)
-            later += np.arange(r, dtype=np.uintp)[:, None]
-            return table.reshape(n * r, -1), row_hits, first, later
-
+    low, trail = n ** (s - 1), n ** (s - _leading_digits(s))
     tallies = []
-    for (d0, d1, weight), width, per in zip(blocks, widths, pers):
-        counts = np.zeros(nw * width, dtype=count_dtype)
+    for d0, d1, weight in blocks:
+        width = (d1 - d0) * low
+        per = max(1, _CHUNK_CELLS // width)
         row_totals = np.empty((m, nw), dtype=np.int64)
-        if t == s:
+        if chunks is None:
+            counts = np.zeros((nw, width), dtype=count_dtype)
             row_dtype = np.min_scalar_type(width)
             for lo in range(0, m, per):
                 dots = _dots(rows[lo : lo + per], d0, d1, n)
                 for j, w in enumerate(windows):
                     h = w.inside(dots)
-                    counts[j * width : (j + 1) * width] += h.sum(axis=0, dtype=count_dtype)
+                    counts[j] += h.sum(axis=0, dtype=count_dtype)
                     row_totals[lo : lo + per, j] = h.sum(axis=1, dtype=row_dtype)
         else:
+            span, chunk = chunks
+            counts = np.zeros((width // trail, nw * trail), dtype=count_dtype)
             for lo in range(0, m, span):
-                table, row_hits, first, later = chunk(lo)
-                r = len(later)
-                # Unsigned, so where a row index is below n * r the
-                # subtraction wraps above it and the minimum keeps it.
-                at = first[:, d0:d1, None] + later[:, None, :]
-                np.minimum(at, at - n * r, out=at)
-                at = at.view(np.intp).reshape(r, -1)
-                uses = np.bincount(at.ravel(), minlength=n * r).reshape(n, r, 1)
-                row_totals[lo : lo + r] = (row_hits * uses).sum(axis=0)
-                for i in range(0, r, per):
-                    g = np.take(table, at[i : i + per], axis=0)
-                    g = g.reshape(len(g), -1)
-                    # One entry's rows are added as they are: a sum along
-                    # an axis of length one would be another full pass.
-                    counts += g[0] if len(g) == 1 else g.sum(axis=0, dtype=count_dtype)
+                c = chunk(lo)
+                r = min(span, m - lo)
+                first = c.first[:, d0:d1]
+                uses = c.shifted[np.arange(r)[:, None], n - first[:r]].sum(axis=1, dtype=np.int64)
+                row_totals[lo : lo + r] = np.matmul(c.row_hits[:r], uses[:, :, None])[:, :, 0]
+                batch = per * max(1, _CHUNK_CELLS // (per * c.g * (width // trail)))
+                for v0 in range(0, c.units, batch):
+                    at = c.rows(first, v0, min(v0 + batch, c.units))
+                    for u0 in range(0, len(at), per):
+                        got = np.take(c.table, at[u0 : u0 + per], axis=0)
+                        # One unit's rows are added as they are: a sum along
+                        # an axis of length one would be another full pass.
+                        counts += got[0] if len(got) == 1 else got.sum(axis=0, dtype=count_dtype)
             # Gathered counts interleave the windows by table row.
             counts = counts.reshape(-1, nw, trail).transpose(1, 0, 2)
         columns = range(d0 * low, d1 * low)
@@ -476,8 +573,10 @@ def full_scan(
     count_dtype = np.min_scalar_type(len(seq))
     rows = np.array(seq.elements, dtype=np.int64)
 
+    chunks = _gather_chunks(rows, n, len(windows)) if _leading_digits(s) < s else None
+
     def scan(blocks: list[tuple[int, int, int]]) -> list[list[_Tally]]:
-        return _scan_blocks(blocks, rows, n, windows, count_dtype)
+        return _scan_blocks(blocks, rows, n, windows, count_dtype, chunks)
 
     blocks = _column_blocks(n, s, windows)
     threads = min(workers, os.cpu_count() or 1, len(blocks))
@@ -499,8 +598,8 @@ def dots_fit_int64(width: int, base: int, n: int) -> bool:
     return width * (base - 1) * (n - 1) < 2**63
 
 
-#: Draws per read of the numpy generator in `_draw_multipliers`, so its
-#: scratch beyond the sample itself stays small.
+#: Most draws per read of the numpy generator in `_draw_multipliers`, so
+#: its scratch beyond the sample itself stays small.
 _DRAW_CHUNK = 1 << 16
 
 
@@ -534,23 +633,25 @@ def _draw_multipliers(size: int, count: int, seed: int) -> np.ndarray:
                 "state": {"key": np.array(key, dtype=np.uint32), "pos": pos}}
     k = n.bit_length()
 
-    def below_n():
-        while True:
-            if k <= 32:
-                r = mt.random_raw(_DRAW_CHUNK) >> (32 - k)
-            else:
-                w = mt.random_raw(2 * _DRAW_CHUNK)
-                r = w[::2] | w[1::2] >> (64 - k) << 32
-            yield r[r < n].astype(np.int64)
+    def below_n(missing: int) -> np.ndarray:
+        # Draws below n among about missing * 2^k / n words, and 64 more,
+        # so one read usually finds what is missing; the stream is read
+        # in order whatever the read sizes.
+        size = min(_DRAW_CHUNK, (missing << k) // n + 64)
+        if k <= 32:
+            r = mt.random_raw(size) >> (32 - k)
+        else:
+            w = mt.random_raw(2 * size)
+            r = w[::2] | w[1::2] >> (64 - k) << 32
+        return r[r < n].astype(np.int64)
 
-    stream = below_n()
     picked = left = np.empty(0, dtype=np.int64)
     while len(picked) < count:
         batch = np.empty(count - len(picked), dtype=np.int64)
         got = 0
         while got < len(batch):
             if not len(left):
-                left = next(stream)
+                left = below_n(len(batch) - got)
             take = min(len(left), len(batch) - got)
             batch[got : got + take], left = left[:take], left[take:]
             got += take

@@ -76,6 +76,49 @@ def test_is_sum_free_integer_routing() -> None:
         assert fast.call_count == 3
 
 
+@st.composite
+def _group_values(draw):
+    n = draw(st.integers(2, 12))
+    s = draw(st.integers(1, 4))
+    spec = GroupSpec(n, s)
+    element = st.tuples(*[st.integers(0, n - 1)] * s)
+    values = draw(st.lists(element, max_size=10))
+    # Plant 2a = b, a + b = a (b = 0) and repeats, each possibly.
+    if values and draw(st.booleans()):
+        values.append(spec.add(values[0], values[0]))
+    if draw(st.booleans()):
+        values.append((0,) * s)
+    if values and draw(st.booleans()):
+        values += values[: draw(st.integers(1, len(values)))]
+    return spec, draw(st.permutations(values))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_group_values(), st.sampled_from([1, 2, 3, oracle._SUM_TILE]))
+def test_group_sum_free_matches_naive(spec_values, tile) -> None:
+    # Elements of Z_n^s under GroupSpec.add take the numpy path; small
+    # tiles make every tile boundary occur.
+    spec, values = spec_values
+    with mock.patch.object(oracle, "_SUM_TILE", tile), mock.patch.object(
+        oracle, "_group_sum_free", wraps=oracle._group_sum_free
+    ) as fast:
+        assert is_sum_free(values, add=spec.add) == naive.sum_free(set(values), add=spec.add)
+        assert fast.call_count == 1
+
+
+def test_group_sum_free_routing() -> None:
+    spec = GroupSpec(7, 2)
+    with mock.patch.object(oracle, "_group_sum_free", wraps=oracle._group_sum_free) as fast:
+        assert not is_sum_free([(1, 2), (2, 4)], add=spec.add)
+        assert fast.call_count == 1
+        # Another addition, or values that are not elements, keep the loop.
+        assert not is_sum_free([(1, 2), (2, 4)], add=lambda a, b: spec.add(a, b))
+        assert is_sum_free([(1, 9), (3, 4)], add=spec.add)
+        assert fast.call_count == 1
+    with pytest.raises(ValueError, match="rank mismatch"):
+        is_sum_free([(1, 2), (1,)], add=spec.add)
+
+
 def test_max_sum_free_frozen() -> None:
     w = max_sum_free([1, 2, 3, 4, 5])
     assert (w.size, w.indices, w.exact) == (3, (0, 2, 4), True)

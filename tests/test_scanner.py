@@ -310,6 +310,79 @@ def test_gather_scan_scratch_is_bounded_in_m() -> None:
     assert verify_report(report, seq) == []
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 5),
+    s=st.integers(4, 6),
+    mode=st.sampled_from(["one chunk", "several chunks", "single entries"]),
+    workers=st.integers(1, 3),
+    data=st.data(),
+)
+@example(n=3, s=4, mode="one chunk", workers=2, data=None)
+@example(n=2, s=6, mode="several chunks", workers=3, data=None)
+@example(n=5, s=4, mode="single entries", workers=1, data=None)
+def test_paired_gather_matches_brute_force(n, s, mode, workers, data) -> None:
+    # Rank >= 4 pairs entries in one table.  The cap is patched so that
+    # the whole sequence is one chunk built once, or several chunks of
+    # pairs, or no pair table fits; odd m leaves one entry out of the
+    # pairs.  Entries repeat, come as +-b pairs and have zero parts.
+    while n**s > 1000:
+        s -= 1
+    t = scanner._leading_digits(s)
+    pair_bytes = n * n * 2 * n ** (s - t)
+    cap, lo_m = {"one chunk": (scanner._CHUNK_CELLS, 2), "several chunks": (pair_bytes, 40),
+                 "single entries": (pair_bytes - 1, 1)}[mode]
+    if data is None:
+        m, seed = lo_m + 1, 1
+    else:
+        m = data.draw(st.integers(lo_m, lo_m + 21), label="m")
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+    rng = random.Random(seed)
+    spec = GroupSpec(n, s)
+    elements: list[tuple[int, ...]] = []
+    while len(elements) < m:
+        kind = rng.randrange(5)
+        if elements and kind == 0:
+            elements.append(rng.choice(elements))
+        elif elements and kind == 1:
+            elements.append(tuple(-c % n for c in rng.choice(elements)))
+        else:
+            el = spec.random_nonzero(rng)
+            if kind == 2:
+                el = (0,) * t + el[t:]
+            elif kind == 3:
+                el = el[:t] + (0,) * (s - t)
+            if any(el):
+                elements.append(el)
+    seq = GroupSequence(spec, tuple(elements))
+    rows = np.array(seq.elements, dtype=np.int64)
+    with mock.patch.object(scanner, "_CHUNK_CELLS", cap):
+        span, chunk = scanner._gather_chunks(rows, n, 2)
+        assert chunk(0).g == (1 if mode == "single entries" else 2)
+        if mode != "single entries":
+            assert (span == m) == (mode == "one chunk")
+        report = full_scan(seq, workers=workers)
+    _assert_matches_brute_force(report, seq)
+
+
+def test_paired_scan_scratch_is_bounded() -> None:
+    # Z_11^6 at m = 100: its 50 pair tables (1.4 MiB) are built once and
+    # held for the scan; one block's gathers and tallies come on top.
+    # The peak read 3.86 MiB (2.29 MiB when each chunk's single-entry
+    # tables were rebuilt in every block).
+    spec = GroupSpec(11, 6)
+    rng = random.Random(11)
+    seq = GroupSequence(spec, tuple(spec.random_nonzero(rng) for _ in range(100)))
+    tracemalloc.start()
+    try:
+        report = full_scan(seq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * 2**20
+    assert verify_report(report, seq) == []
+
+
 def test_band_scan_scratch_is_bounded_per_chunk() -> None:
     # Z_1000^2 at m = 50, two workers: each entry is a chunk of its own.
     # Scratch is allocated chunk by chunk, so the peak is two threads'
