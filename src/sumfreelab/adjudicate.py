@@ -14,14 +14,20 @@ whether x . b lies in the window.  An instance's largest column count,
 the sum of its entries' rows, is the size `extract_sum_free_group`
 extracts.  Exhaustive and random instances alike are drawn lazily and
 scored by one generator (`_table_chunks`), which sums gathered rows in
-chunks bounded both in counts and in entries.  H's dot products come
-from the scan core, and `verify_report` checks it as the scan of all
-nonzero elements.  Groups above DEFAULT_SCAN_CAP elements are refused
-before anything is drawn; groups whose table would exceed
-SEARCH_TABLE_CELLS cells extract each instance instead.  Every
-instance then goes through one loop: the exact oracle for at most
-EXACT_SEARCH_LIMIT entries, in instance order, and, at or below 2m/7, a
-re-run through the verified path (`_evaluate`), which must agree.
+chunks bounded both in counts and in entries.  Random instances are
+built a chunk at a time from bulk words of the seeded random.Random
+(`_random_instances`), equal to drawing them with
+`GroupSpec.random_nonzero`.  H's dot products come from the scan core,
+and `verify_report` checks it as the scan of all nonzero elements.
+Groups above DEFAULT_SCAN_CAP elements, and instances of more than
+_CHUNK_CELLS coordinates, are refused before anything is drawn; groups
+whose table would exceed SEARCH_TABLE_CELLS cells extract each instance
+instead.  Every instance then goes through one loop: the exact oracle
+for at most EXACT_SEARCH_LIMIT entries, in instance order, and, at or
+below 2m/7, a re-run through the verified path (`_evaluate`), which
+must agree.  With the hit table, the oracle adds through a sum table of
+the group built once per search (`_table_add`); without it, through
+`GroupSpec.add`.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, groupby, islice
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -232,10 +238,71 @@ def _hit_table(spec: GroupSpec, m: int) -> np.ndarray:
 def _random_instances(
     spec: GroupSpec, m: int, budget: int, seed: int | None
 ) -> Iterator[tuple[Element, ...]]:
-    """`budget` seeded sequences of m nonzero elements, drawn lazily."""
+    """`budget` seeded sequences of m nonzero elements, drawn lazily: the
+    tuples of `budget` loops of m `spec.random_nonzero(rng)` calls on
+    rng = random.Random(seed), built in numpy for n below 2^32.
+
+    With k the bit length of n, CPython's randrange(n) is one 32-bit
+    word shifted right by 32 - k, and draws of n or more are rejected;
+    random_nonzero draws all s coordinates again while every one is
+    zero.  So the accepted words, grouped in s-tuples with the all-zero
+    tuples dropped, are the elements, which group in m-tuples.  The
+    words come from getrandbits(32 * c), whose little-endian bytes are
+    c getrandbits(32) words in order.  This follows CPython's randrange
+    and getrandbits algorithms.  Each read is sized from the elements
+    still missing, and one chunk of at most _CHUNK_CELLS // (m * s)
+    instances is built at a time.  `_draw_multipliers` replays its words
+    through numpy's MT19937 instead, at 4 ns a word against 15 ns here,
+    which counts at its read sizes; a search reads few words and skips
+    importing numpy.random, about 6 MiB of resident memory.
+    """
+    n, s = spec.n, spec.s
+    k = n.bit_length()
     rng = random.Random(seed)
-    for _ in range(budget):
-        yield tuple(spec.random_nonzero(rng) for _ in range(m))
+    coords = np.empty(0, dtype=np.uint32)  # accepted, not yet a whole s-tuple
+
+    def nonzero(missing: int) -> np.ndarray:
+        # Accepted words per element average s * 2^k n^(s-1) / (n^s - 1).
+        nonlocal coords
+        c = min(_CHUNK_CELLS, (missing * s * n ** (s - 1) << k) // (n**s - 1)) + 64
+        words = np.frombuffer(rng.getrandbits(32 * c).to_bytes(4 * c, "little"), "<u4")
+        words = words >> (32 - k)
+        coords = np.concatenate([coords, words[words < n]])
+        whole = len(coords) - len(coords) % s
+        tuples, coords = coords[:whole].reshape(-1, s), coords[whole:]
+        return tuples[tuples.any(axis=1)].ravel()
+
+    chunk = max(1, _CHUNK_CELLS // (m * s))
+    drawn = np.empty(0, dtype=np.uint32)  # coordinates of drawn elements
+    for start in range(0, budget, chunk):
+        need = min(chunk, budget - start) * m * s
+        parts = [drawn]
+        while (have := sum(map(len, parts))) < need:
+            parts.append(nonzero((need - have) // s))
+        drawn = np.concatenate(parts)
+        flat = iter(drawn[:need].tolist())
+        drawn = drawn[need:]
+        # Consecutive s coordinates make an element, m elements an instance.
+        yield from zip(*[zip(*[flat] * s)] * m)
+
+
+def _table_add(spec: GroupSpec) -> Callable[[Element, Element], Element]:
+    """`spec.add` through a table: sums[i * q + j] is the element tuple
+    e_i + e_j, for the q elements e_i of Z_n^s in index order, found by
+    numpy index arithmetic, so every sum is a reference to one of q
+    tuples.  A group whose hit table fits SEARCH_TABLE_CELLS cells has
+    q^2 <= 2q(q - 1) of them."""
+    n, q = spec.n, spec.size
+    elements = list(spec.elements())
+    digits = np.arange(q)
+    index = np.zeros((q, q), dtype=np.intp)
+    for place in (n**d for d in range(spec.s)):
+        digit = digits // place % n
+        index += (digit[:, None] + digit) % n * place
+    sums = [elements[i] for i in index.ravel().tolist()]
+    row = {e: i * q for i, e in enumerate(elements)}
+    col = {e: i for i, e in enumerate(elements)}
+    return lambda a, b: sums[row[a] + col[b]]
 
 
 def _table_chunks(
@@ -280,15 +347,23 @@ def counterexample_search(query: CounterexampleQuery) -> SearchResult:
                 f"exhaustive search needs at least {total} instances, above the "
                 f"budget {query.budget}"
             )
+    if query.m * spec.s > _CHUNK_CELLS:
+        raise ValueError(
+            f"search of Z_{spec.n}^{spec.s}: --m {query.m} entries of rank {spec.s} are "
+            f"{query.m * spec.s} coordinates per instance, above {_CHUNK_CELLS}"
+        )
+    if complete:
         instances = _exhaustive_instances(spec, query.m)
     else:
         instances = _random_instances(spec, query.m, query.budget, query.seed)
     if (spec.size - 1) * len(scan_windows(spec.n)) * spec.size > SEARCH_TABLE_CELLS:
+        add = spec.add
         chunks = (
             ([e], np.array([extract_sum_free_group(GroupSequence(spec, e)).size]))
             for e in instances
         )
     else:
+        add = _table_add(spec) if query.m <= EXACT_SEARCH_LIMIT else spec.add
         chunks = _table_chunks(spec, _hit_table(spec, query.m), instances)
     findings: list[Finding] = []
     checked = oracle_checked = 0
@@ -296,7 +371,7 @@ def counterexample_search(query: CounterexampleQuery) -> SearchResult:
         for elements, size in zip(batch, sizes.tolist()):
             m = len(elements)
             exact = m <= EXACT_SEARCH_LIMIT
-            witness = max_sum_free(list(elements), add=spec.add) if exact else None
+            witness = max_sum_free(list(elements), add=add) if exact else None
             checked += 1
             oracle_checked += exact
             if _at_or_below(size, m) or (witness is not None and _at_or_below(witness.size, m)):

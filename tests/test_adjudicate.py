@@ -249,6 +249,61 @@ def test_exhaustive_scorer_memory_bounded() -> None:
     assert peak < 4 * 2**20
 
 
+def _python_draws(spec, m, budget, seed):
+    rng = random.Random(seed)
+    return [tuple(spec.random_nonzero(rng) for _ in range(m)) for _ in range(budget)]
+
+
+_MODULI = st.one_of(
+    st.just(2),
+    st.integers(2, 32).map(lambda k: 2**k - 1),
+    st.integers(1, 31).map(lambda k: 2**k),
+    st.integers(1, 31).map(lambda k: 2**k + 1),
+    st.integers(2, 10**5),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=_MODULI, s=st.integers(1, 4), m=st.integers(1, 40), budget=st.integers(1, 20),
+       seed=st.integers(0, 2**64), cells=st.sampled_from([1, 64, adjmod._CHUNK_CELLS]))
+def test_random_instances_replay_the_python_draws(n, s, m, budget, seed, cells) -> None:
+    # Small chunks make instances straddle reads and chunks.
+    spec = GroupSpec(n, s, cap=n**s)
+    with mock.patch.object(adjmod, "_CHUNK_CELLS", cells):
+        drawn = list(adjmod._random_instances(spec, m, budget, seed))
+    assert drawn == _python_draws(spec, m, budget, seed)
+    assert all(type(c) is int for elements in drawn for e in elements for c in e)
+
+
+def test_random_instances_memory_bounded() -> None:
+    # 10^5 instances of Z_7, m = 8: held all at once, tracemalloc counts
+    # 47 MiB; drawn one chunk of 2^18 coordinates at a time, 5.4 MiB.
+    spec = GroupSpec(7, 1)
+    tracemalloc.start()
+    try:
+        drawn = sum(1 for _ in adjmod._random_instances(spec, 8, 10**5, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert drawn == 10**5
+    assert peak < 8 * 2**20
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_table_add_matches_spec_add(data) -> None:
+    spec = _small_group(data)
+    add = adjmod._table_add(spec)
+    elements = list(spec.elements())
+    assert all(add(a, b) == spec.add(a, b) for a in elements for b in elements)
+    # A small pool of entries, so multisets repeat entries and clash.
+    pool = data.draw(st.lists(st.integers(1, spec.size - 1).map(spec.coords_of),
+                              min_size=1, max_size=8), label="pool")
+    values = data.draw(st.lists(st.sampled_from(pool), max_size=adjmod.EXACT_SEARCH_LIMIT),
+                       label="values")
+    assert adjmod.max_sum_free(values, add=add) == adjmod.max_sum_free(values, add=spec.add)
+
+
 def test_hit_table_rows_checked(monkeypatch) -> None:
     spec = GroupSpec(6, 2)
     table = adjmod._hit_table(spec, 3)

@@ -1,8 +1,10 @@
 """Command line protocol: schemas, exit codes, determinism."""
 
 import dataclasses
+import importlib
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -21,7 +23,7 @@ from sumfreelab.scanner import DEFAULT_SCAN_CAP, InequalityRow
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_cli(args, env=None, timeout=60):
+def run_cli(args, env=None, timeout=60, preexec_fn=None):
     """The CLI in a fresh interpreter, with this checkout's package first;
     env entries set to None are removed from the environment."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
@@ -32,6 +34,7 @@ def run_cli(args, env=None, timeout=60):
         capture_output=True,
         text=True,
         timeout=timeout,
+        preexec_fn=preexec_fn,
     )
 
 
@@ -251,14 +254,34 @@ def test_search_budget_refused_at_once(capsys) -> None:
 
 
 def test_search_above_scan_cap_refused_before_drawing(monkeypatch, capsys) -> None:
-    def no_draw(self, rng):
+    def no_draw(*args):
         raise AssertionError("an instance was drawn")
 
     monkeypatch.setattr(GroupSpec, "random_nonzero", no_draw)
+    monkeypatch.setattr(importlib.import_module("sumfreelab.adjudicate"), "_random_instances", no_draw)
     assert main(["search", "--n", str(2 * DEFAULT_SCAN_CAP), "--s", "1", "--m", "1",
                  "--mode", "random", "--budget", "1", "--seed", "1"]) == 2
     err = capsys.readouterr().err
     assert "search of Z_" in err and "scan cap" in err and "sample=" not in err
+
+
+def _limit_address_space() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (300 * 2**20, 300 * 2**20))
+
+
+def test_oversized_search_instance_refused_in_bounded_memory() -> None:
+    # One instance of 10^8 entries: an allocation sized by --m alone.  It
+    # must be refused before anything is drawn, under a 300 MiB address
+    # space limit set in the child only.  One BLAS thread keeps numpy's
+    # own reservations independent of the core count.
+    start = time.monotonic()
+    proc = run_cli(["search", "--n", "7", "--s", "1", "--m", str(10**8), "--mode", "random",
+                    "--budget", "1", "--seed", "1"], env={"OPENBLAS_NUM_THREADS": "1"},
+                   timeout=30, preexec_fn=_limit_address_space)
+    assert proc.returncode == 2, proc.stderr
+    assert "error:" in proc.stderr and "--m" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert time.monotonic() - start < 10
 
 
 def test_extremal(capsys) -> None:
