@@ -31,7 +31,6 @@ from .groups import (
     GroupSpec,
     Window,
     WindowError,
-    subgroup_multiples,
     window_middle_third,
     window_prime_target,
     window_sixth_bands,
@@ -50,7 +49,6 @@ from .oracle import (
     EXACT_SEARCH_LIMIT,
     ExactSearchCapExceeded,
     SumFreeWitness,
-    greedy_sum_free,
     is_sum_free,
     max_sum_free,
 )
@@ -107,7 +105,6 @@ __all__ = [
     "extract_sum_free_group",
     "extract_sum_free_subset",
     "full_scan",
-    "greedy_sum_free",
     "is_prime",
     "is_sum_free",
     "max_sum_free",
@@ -116,7 +113,6 @@ __all__ = [
     "rhemtulla_street_bound",
     "row_hit_count",
     "scan_windows",
-    "subgroup_multiples",
     "tightness_instance",
     "verify_report",
     "weighted_inequality_sweep",

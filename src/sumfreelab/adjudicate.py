@@ -15,18 +15,20 @@ the sum of its entries' rows, is the size `extract_sum_free_group`
 extracts.  Exhaustive and random instances alike are drawn lazily and
 scored by one generator (`_table_chunks`), which sums gathered rows in
 chunks bounded both in counts and in entries.  Random instances are
-built a chunk at a time from bulk words of the seeded random.Random
-(`_random_instances`), equal to drawing them with
+built a chunk at a time from the scanner's replay of the seeded
+random.Random (`_random_instances`), equal to drawing them with
 `GroupSpec.random_nonzero`.  H's dot products come from the scan core,
 and `verify_report` checks it as the scan of all nonzero elements.
 Groups above DEFAULT_SCAN_CAP elements, and instances of more than
 _CHUNK_CELLS coordinates, are refused before anything is drawn; groups
 whose table would exceed SEARCH_TABLE_CELLS cells extract each instance
-instead.  Every instance then goes through one loop: the exact oracle
-for at most EXACT_SEARCH_LIMIT entries, in instance order, and, at or
-below 2m/7, a re-run through the verified path (`_evaluate`), which
-must agree.  With the hit table, the oracle adds through a sum table of
-the group built once per search (`_table_add`); without it, through
+instead, and are refused, before the exhaustive pool is listed, where
+instances times the group's size pass SEARCH_SCAN_CELLS.  Every
+instance then goes through one loop: the exact oracle for at most
+EXACT_SEARCH_LIMIT entries, in instance order, and, at or below 2m/7, a
+re-run through the verified path (`_evaluate`), which must agree.
+With the hit table, the oracle adds through a sum table of the group
+built once per search (`_table_add`); without it, through
 `GroupSpec.add`.
 """
 
@@ -50,6 +52,7 @@ from .scanner import (
     GroupExtraction,
     ScanReport,
     _dots,
+    _randbelow_draws,
     _report,
     _tally,
     divisor_profile,
@@ -215,6 +218,10 @@ def _evaluate(
 #: instance with a scan instead.
 SEARCH_TABLE_CELLS = _CHUNK_CELLS
 
+#: Searches of those groups are refused when their instances times the
+#: group's size pass this: about 30 s of per-instance scans.
+SEARCH_SCAN_CELLS = 1 << 25
+
 
 def _hit_table(spec: GroupSpec, m: int) -> np.ndarray:
     """H[b - 1, j * q + x] = [x . b lies in window j], for the q elements x
@@ -240,21 +247,14 @@ def _random_instances(
 ) -> Iterator[tuple[Element, ...]]:
     """`budget` seeded sequences of m nonzero elements, drawn lazily: the
     tuples of `budget` loops of m `spec.random_nonzero(rng)` calls on
-    rng = random.Random(seed), built in numpy for n below 2^32.
+    rng = random.Random(seed), built in numpy.
 
-    With k the bit length of n, CPython's randrange(n) is one 32-bit
-    word shifted right by 32 - k, and draws of n or more are rejected;
-    random_nonzero draws all s coordinates again while every one is
-    zero.  So the accepted words, grouped in s-tuples with the all-zero
-    tuples dropped, are the elements, which group in m-tuples.  The
-    words come from getrandbits(32 * c), whose little-endian bytes are
-    c getrandbits(32) words in order.  This follows CPython's randrange
-    and getrandbits algorithms.  Each read is sized from the elements
-    still missing, and one chunk of at most _CHUNK_CELLS // (m * s)
-    instances is built at a time.  `_draw_multipliers` replays its words
-    through numpy's MT19937 instead, at 4 ns a word against 15 ns here,
-    which counts at its read sizes; a search reads few words and skips
-    importing numpy.random, about 6 MiB of resident memory.
+    CPython's randrange(n) is _randbelow(n), and random_nonzero draws all
+    s coordinates again while every one is zero.  So the accepted draws
+    of `_randbelow_draws`, grouped in s-tuples with the all-zero tuples
+    dropped, are the elements, which group in m-tuples.  Each read is
+    sized from the elements still missing, and one chunk of at most
+    _CHUNK_CELLS // (m * s) instances is built at a time.
     """
     n, s = spec.n, spec.s
     k = n.bit_length()
@@ -262,12 +262,10 @@ def _random_instances(
     coords = np.empty(0, dtype=np.uint32)  # accepted, not yet a whole s-tuple
 
     def nonzero(missing: int) -> np.ndarray:
-        # Accepted words per element average s * 2^k n^(s-1) / (n^s - 1).
+        # Accepted draws per element average s * 2^k n^(s-1) / (n^s - 1).
         nonlocal coords
         c = min(_CHUNK_CELLS, (missing * s * n ** (s - 1) << k) // (n**s - 1)) + 64
-        words = np.frombuffer(rng.getrandbits(32 * c).to_bytes(4 * c, "little"), "<u4")
-        words = words >> (32 - k)
-        coords = np.concatenate([coords, words[words < n]])
+        coords = np.concatenate([coords, _randbelow_draws(rng, n, c)])
         whole = len(coords) - len(coords) % s
         tuples, coords = coords[:whole].reshape(-1, s), coords[whole:]
         return tuples[tuples.any(axis=1)].ravel()
@@ -352,11 +350,18 @@ def counterexample_search(query: CounterexampleQuery) -> SearchResult:
             f"search of Z_{spec.n}^{spec.s}: --m {query.m} entries of rank {spec.s} are "
             f"{query.m * spec.s} coordinates per instance, above {_CHUNK_CELLS}"
         )
+    per_instance = (spec.size - 1) * len(scan_windows(spec.n)) * spec.size > SEARCH_TABLE_CELLS
+    work = (total if complete else query.budget) * spec.size
+    if per_instance and work > SEARCH_SCAN_CELLS:
+        raise ValueError(
+            f"search of Z_{spec.n}^{spec.s}: {work} scan cells (instances times the "
+            f"{spec.size} group elements), above {SEARCH_SCAN_CELLS}; lower --m or --budget"
+        )
     if complete:
         instances = _exhaustive_instances(spec, query.m)
     else:
         instances = _random_instances(spec, query.m, query.budget, query.seed)
-    if (spec.size - 1) * len(scan_windows(spec.n)) * spec.size > SEARCH_TABLE_CELLS:
+    if per_instance:
         add = spec.add
         chunks = (
             ([e], np.array([extract_sum_free_group(GroupSequence(spec, e)).size]))

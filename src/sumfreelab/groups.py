@@ -75,14 +75,6 @@ class GroupSpec:
             raise ValueError("gcd class of the zero element is undefined")
         return math.gcd(self.n, *t)
 
-    def index_of(self, x: Sequence[int]) -> int:
-        """Position of x in lexicographic order over all of Z_n^s."""
-        t = self.validate(x)
-        idx = 0
-        for c in t:
-            idx = idx * self.n + c
-        return idx
-
     def coords_of(self, index: int) -> Element:
         if not 0 <= index < self.size:
             raise ValueError(f"index {index} outside [0, {self.size})")
@@ -144,18 +136,6 @@ class DivisorProfile:
     @property
     def total(self) -> int:
         return sum(m for _, m in self.pairs)
-
-    def multiplicity(self, d: int) -> int:
-        return dict(self.pairs).get(d, 0)
-
-
-def subgroup_multiples(d: int, n: int) -> frozenset[int]:
-    """The subgroup {0, d, 2d, ...} of Z_n, for a divisor d of n."""
-    if n < 2:
-        raise ValueError(f"modulus must be at least 2, got {n}")
-    if d < 1 or n % d != 0:
-        raise ValueError(f"{d} does not divide {n}")
-    return frozenset(range(0, n, d))
 
 
 def _join_touching(bands: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:

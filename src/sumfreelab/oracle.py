@@ -7,7 +7,8 @@ bitmasks in which every value owns one bit per occurrence.  The
 depth-first search then works on Python ints only, and bounds a subtree
 by the bit count of the values that can still join, which is their
 total multiplicity.  It is intended for short sequences; above the size
-cap it refuses, and callers fall back to `greedy_sum_free`.
+cap it refuses, and callers such as the counterexample search report
+the window extraction alone.
 """
 
 from __future__ import annotations
@@ -243,8 +244,7 @@ def max_sum_free(values: Sequence, add: AddFn = operator.add) -> SumFreeWitness:
     lexicographically smallest position list.  `add` must be commutative."""
     if len(values) > EXACT_SEARCH_LIMIT:
         raise ExactSearchCapExceeded(
-            f"exact search limited to {EXACT_SEARCH_LIMIT} values, got {len(values)}; "
-            "use greedy_sum_free for an inexact witness"
+            f"exact search limited to {EXACT_SEARCH_LIMIT} values, got {len(values)}"
         )
     if not values:
         return SumFreeWitness((), 0, True)
@@ -252,28 +252,3 @@ def max_sum_free(values: Sequence, add: AddFn = operator.add) -> SumFreeWitness:
     best = _best_support(order, [len(positions[v]) for v in order], add)
     indices = sorted(i for k in best for i in positions[order[k]])
     return SumFreeWitness(tuple(indices), len(indices), True)
-
-
-def greedy_sum_free(values: Sequence, add: AddFn = operator.add) -> SumFreeWitness:
-    """First-fit sum-free subsequence: scan positions, keep what stays legal."""
-    chosen: list = []
-    chosen_set: set = set()
-    sums: set = set()
-    indices: list[int] = []
-    for i, v in enumerate(values):
-        if v in chosen_set:
-            indices.append(i)  # same value as an accepted one: rides along
-            continue
-        if v in sums or add(v, v) == v:
-            continue
-        if any(add(u, v) in chosen_set or add(u, v) == v for u in chosen):
-            continue
-        if add(v, v) in chosen_set:
-            continue
-        for u in chosen:
-            sums.add(add(u, v))
-        sums.add(add(v, v))
-        chosen.append(v)
-        chosen_set.add(v)
-        indices.append(i)
-    return SumFreeWitness(tuple(indices), len(indices), False)

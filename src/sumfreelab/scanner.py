@@ -44,12 +44,13 @@ digits or its p above 2^31, a rank-1 group of more than 2^16 elements)
 it keeps one int64 matmul and `%`, so no table is sized by the base.
 Its multipliers are exactly
 sorted(random.Random(seed).sample(...)).  `_draw_multipliers` reproduces
-them in numpy, by loading the seeded Mersenne Twister state into
-numpy's MT19937 and replaying CPython's getrandbits words and
-random.sample's set-branch rejections.  It calls random.sample itself
-only where that takes its pool branch (a small population).  So the
-sampled bytes depend on CPython's random.sample and getrandbits
-algorithms, which tests compare against the numpy draw.
+them in numpy, replaying random.sample's set-branch rejections on the
+_randbelow draws that `_randbelow_draws` rebuilds from bulk getrandbits
+words of the seeded generator; random search instances in `adjudicate`
+come from the same reader.  It calls random.sample itself only where
+that takes its pool branch (a small population).  So the sampled bytes
+depend on CPython's random.sample and getrandbits algorithms, which
+tests compare against the numpy draw.
 """
 
 from __future__ import annotations
@@ -598,25 +599,42 @@ def dots_fit_int64(width: int, base: int, n: int) -> bool:
     return width * (base - 1) * (n - 1) < 2**63
 
 
-#: Most draws per read of the numpy generator in `_draw_multipliers`, so
-#: its scratch beyond the sample itself stays small.
+#: Most draws per read in `_draw_multipliers`, so its scratch beyond the
+#: sample itself stays small.
 _DRAW_CHUNK = 1 << 16
+
+
+def _randbelow_draws(rng: random.Random, n: int, draws: int) -> np.ndarray:
+    """The accepted values, in stream order, among the next `draws`
+    getrandbits(k) calls of CPython's rng._randbelow(n), for n below 2^64.
+
+    With k the bit length of n, getrandbits(k) is one 32-bit word shifted
+    right by 32 - k for k <= 32, and otherwise a low word and then a high
+    word shifted right by 64 - k; draws of n or more are rejected.  The
+    words come from one getrandbits(32 * c), whose little-endian bytes are
+    c getrandbits(32) words in order.  The result is uint32 for k <= 32,
+    else uint64.  This follows CPython's _randbelow and getrandbits
+    algorithms.
+    """
+    k = n.bit_length()
+    c = draws if k <= 32 else 2 * draws
+    w = np.frombuffer(rng.getrandbits(32 * c).to_bytes(4 * c, "little"), "<u4")
+    if k <= 32:
+        r = w >> (32 - k)
+    else:
+        r = w[::2] | (w[1::2] >> (64 - k)).astype(np.uint64) << 32
+    return r[r < n]
 
 
 def _draw_multipliers(size: int, count: int, seed: int) -> np.ndarray:
     """sorted(random.Random(seed).sample(range(1, size), count)) as int64.
 
     For a population too large for its pool branch, random.sample keeps
-    the first `count` distinct values of _randbelow(size - 1).  That
-    stream is replayed in numpy: the seeded state of random.Random goes
-    into a numpy MT19937, whose raw output is CPython's 32-bit words.
-    With k the bit length of size - 1, getrandbits(k) is one word
-    shifted right by 32 - k for k <= 32, and otherwise a low word and
-    then a high word shifted right by 64 - k; draws of size - 1 or more
-    are rejected.  Each round takes as many draws as values are still
-    missing, so every new value it finds is kept.  This follows
-    CPython's random.sample and getrandbits algorithms; the pool branch
-    keeps the Python call.
+    the first `count` distinct values of _randbelow(size - 1), which
+    `_randbelow_draws` replays.  Each round takes as many draws as values
+    are still missing, so every new value it finds is kept.  This follows
+    CPython's random.sample algorithm; the pool branch keeps the Python
+    call.
     """
     n = size - 1
     if count == n:
@@ -625,25 +643,14 @@ def _draw_multipliers(size: int, count: int, seed: int) -> np.ndarray:
     rng = random.Random(seed)
     if n <= pool:
         return np.array(sorted(rng.sample(range(1, size), count)), dtype=np.int64)
-    from numpy.random import MT19937  # not imported by `import numpy`; ~9 ms
-
-    *key, pos = rng.getstate()[1]
-    mt = MT19937()
-    mt.state = {"bit_generator": "MT19937",
-                "state": {"key": np.array(key, dtype=np.uint32), "pos": pos}}
     k = n.bit_length()
 
     def below_n(missing: int) -> np.ndarray:
-        # Draws below n among about missing * 2^k / n words, and 64 more,
-        # so one read usually finds what is missing; the stream is read
-        # in order whatever the read sizes.
-        size = min(_DRAW_CHUNK, (missing << k) // n + 64)
-        if k <= 32:
-            r = mt.random_raw(size) >> (32 - k)
-        else:
-            w = mt.random_raw(2 * size)
-            r = w[::2] | w[1::2] >> (64 - k) << 32
-        return r[r < n].astype(np.int64)
+        # About missing * 2^k / n draws, and 64 more, so one read usually
+        # finds what is missing; the stream is read in order whatever the
+        # read sizes.
+        draws = min(_DRAW_CHUNK, (missing << k) // n + 64)
+        return _randbelow_draws(rng, n, draws).astype(np.int64)
 
     picked = left = np.empty(0, dtype=np.int64)
     while len(picked) < count:

@@ -16,6 +16,7 @@ import sumfreelab.cli as climod
 from sumfreelab.adjudicate import Finding
 from sumfreelab.cli import main
 from sumfreelab.groups import GroupSpec
+from sumfreelab.integers import choose_prime
 from sumfreelab.primes import PROVEN_LIMIT
 from sumfreelab.scanner import DEFAULT_SCAN_CAP, InequalityRow
 
@@ -282,6 +283,46 @@ def test_oversized_search_instance_refused_in_bounded_memory() -> None:
     assert "error:" in proc.stderr and "--m" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert time.monotonic() - start < 10
+
+
+def test_per_instance_search_work_refused_before_the_pool() -> None:
+    # Z_10^6 has no hit table, so each of its 999 999 length-1 instances
+    # would be scanned; listing them alone took 84 MiB.  Refused by scan
+    # work before the pool is built, under a 300 MiB address space.
+    start = time.monotonic()
+    proc = run_cli(["search", "--n", "10", "--s", "6", "--m", "1", "--mode", "exhaustive",
+                    "--budget", "2000000"], env={"OPENBLAS_NUM_THREADS": "1"},
+                   timeout=30, preexec_fn=_limit_address_space)
+    assert proc.returncode == 2, proc.stderr
+    assert "error:" in proc.stderr and "--budget" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert time.monotonic() - start < 10
+
+
+def test_sampled_scans_do_not_import_numpy_random(tmp_path) -> None:
+    # The multiplier draw replays CPython's generator from getrandbits
+    # words; p above 2^32 makes every integer draw two words.
+    values = [(-1) ** i * (2**40 + 17 * i + 1) for i in range(30)]
+    ints = tmp_path / "ints.txt"
+    ints.write_text("\n".join(map(str, values)) + "\n")
+    assert choose_prime(values).p > 2**32
+    group = write_group(tmp_path, "z4000x2.json", 4000, 2,
+                        [[i % 3999 + 1, 7 * i % 4000] for i in range(100)])
+    code = (
+        "import sys\n"
+        "from sumfreelab.cli import main\n"
+        f"assert main(['scan', {str(group)!r}, '--sample', '5000', '--seed', '3',"
+        f" '-o', {str(tmp_path / 'scan.json')!r}]) == 0\n"
+        f"assert main(['extract-integers', {str(ints)!r}, '--sample', '1000', '--seed', '3',"
+        f" '-o', {str(tmp_path / 'ints.json')!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    assert json.loads((tmp_path / "ints.json").read_text())["verified"] is True
 
 
 def test_extremal(capsys) -> None:

@@ -16,7 +16,6 @@ from sumfreelab.oracle import (
     EXACT_SEARCH_LIMIT,
     ExactSearchCapExceeded,
     SumFreeWitness,
-    greedy_sum_free,
     is_sum_free,
     max_sum_free,
 )
@@ -256,19 +255,6 @@ def test_exact_cap() -> None:
     assert ok.size == EXACT_SEARCH_LIMIT
     with pytest.raises(ExactSearchCapExceeded):
         max_sum_free(list(range(1, EXACT_SEARCH_LIMIT + 2)))
-
-
-def test_greedy_is_valid_and_inexact() -> None:
-    rng = random.Random(31337)
-    for _ in range(120):
-        m = rng.randint(0, 30)
-        vals = [rng.choice([-1, 1]) * rng.randint(1, 12) for _ in range(m)]
-        w = greedy_sum_free(vals)
-        assert not w.exact
-        assert all(0 <= i < m for i in w.indices)
-        assert naive.sum_free([vals[i] for i in w.indices])
-        if m <= 10:
-            assert w.size <= max_sum_free(vals).size
 
 
 def test_witness_validation() -> None:
