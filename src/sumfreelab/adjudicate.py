@@ -21,7 +21,7 @@ random.Random (`_random_instances`), equal to drawing them with
 and `verify_report` checks it as the scan of all nonzero elements.
 Groups above DEFAULT_SCAN_CAP elements, and instances of more than
 _CHUNK_CELLS coordinates, are refused before anything is drawn; groups
-whose table would exceed SEARCH_TABLE_CELLS cells extract each instance
+whose tables would exceed SEARCH_TABLE_BYTES extract each instance
 instead, and are refused, before the exhaustive pool is listed, where
 instances times the group's size pass SEARCH_SCAN_CELLS.  Every
 instance then goes through one loop: the exact oracle for at most
@@ -214,9 +214,9 @@ def _evaluate(
     )
 
 
-#: Groups whose hit table would have more cells than this extract each
-#: instance with a scan instead.
-SEARCH_TABLE_CELLS = _CHUNK_CELLS
+#: Groups whose hit table and sum table (`_table_bytes`) would pass this
+#: many bytes extract each instance with a scan instead.
+SEARCH_TABLE_BYTES = 1 << 22
 
 #: Searches of those groups are refused when their instances times the
 #: group's size pass this: about 30 s of per-instance scans.
@@ -240,6 +240,14 @@ def _hit_table(spec: GroupSpec, m: int) -> np.ndarray:
     if problems:
         raise RuntimeError(f"hit table of Z_{n}^{s}: {problems[0]} (of {len(problems)} problems)")
     return table
+
+
+def _table_bytes(spec: GroupSpec, m: int) -> int:
+    """Bytes of the hit table of Z_n^s for instances of up to m entries,
+    plus the 8-byte references of `_table_add`'s q^2 sums."""
+    q = spec.size
+    cells = (q - 1) * len(scan_windows(spec.n)) * q
+    return cells * np.min_scalar_type(m).itemsize + 8 * q * q
 
 
 def _random_instances(
@@ -287,17 +295,16 @@ def _random_instances(
 def _table_add(spec: GroupSpec) -> Callable[[Element, Element], Element]:
     """`spec.add` through a table: sums[i * q + j] is the element tuple
     e_i + e_j, for the q elements e_i of Z_n^s in index order, found by
-    numpy index arithmetic, so every sum is a reference to one of q
-    tuples.  A group whose hit table fits SEARCH_TABLE_CELLS cells has
-    q^2 <= 2q(q - 1) of them."""
+    numpy index arithmetic and gathered as references to one of q tuples
+    (no Python int per sum); `_table_bytes` counts them."""
     n, q = spec.n, spec.size
-    elements = list(spec.elements())
+    elements = np.fromiter(spec.elements(), dtype=object, count=q)
     digits = np.arange(q)
     index = np.zeros((q, q), dtype=np.intp)
     for place in (n**d for d in range(spec.s)):
         digit = digits // place % n
         index += (digit[:, None] + digit) % n * place
-    sums = [elements[i] for i in index.ravel().tolist()]
+    sums = elements[index.ravel()].tolist()
     row = {e: i * q for i, e in enumerate(elements)}
     col = {e: i for i, e in enumerate(elements)}
     return lambda a, b: sums[row[a] + col[b]]
@@ -350,7 +357,7 @@ def counterexample_search(query: CounterexampleQuery) -> SearchResult:
             f"search of Z_{spec.n}^{spec.s}: --m {query.m} entries of rank {spec.s} are "
             f"{query.m * spec.s} coordinates per instance, above {_CHUNK_CELLS}"
         )
-    per_instance = (spec.size - 1) * len(scan_windows(spec.n)) * spec.size > SEARCH_TABLE_CELLS
+    per_instance = _table_bytes(spec, query.m) > SEARCH_TABLE_BYTES
     work = (total if complete else query.budget) * spec.size
     if per_instance and work > SEARCH_SCAN_CELLS:
         raise ValueError(
@@ -422,6 +429,11 @@ class PrimeCaseReport:
     trial_results: tuple[PrimeCaseTrial, ...]
 
 
+#: Prime-case checks are refused when trials times m_max times the
+#: group's size pass this: at worst (Z_2, one trial) about 3 s and 150 MiB.
+PRIME_CASE_CELLS = 1 << 22
+
+
 def prime_case_check(
     p: int,
     s: int,
@@ -438,6 +450,12 @@ def prime_case_check(
     if m_max < 1:
         raise ValueError(f"m_max (--m-max on the command line) must be at least 1, not {m_max}")
     spec = GroupSpec(p, s)
+    cells = trials * m_max * spec.size
+    if cells > PRIME_CASE_CELLS:
+        raise ValueError(
+            f"prime-case of Z_{p}^{s}: --trials {trials} x --m-max {m_max} x {spec.size} "
+            f"multipliers is {cells} scan cells, above {PRIME_CASE_CELLS}"
+        )
     w1 = scan_windows(p)[0]
     ratio = Fraction(w1.size, p)
     rng = random.Random(seed)

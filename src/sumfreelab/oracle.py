@@ -3,12 +3,13 @@
 The search is branch and bound over distinct values (positions sharing a
 value stand or fall together: a multiset is sum-free exactly when its
 support set is).  Each pairwise sum is computed once, into conflict
-bitmasks in which every value owns one bit per occurrence.  The
-depth-first search then works on Python ints only, and bounds a subtree
-by the bit count of the values that can still join, which is their
-total multiplicity.  It is intended for short sequences; above the size
-cap it refuses, and callers such as the counterexample search report
-the window extraction alone.
+bitmasks in which bit p stands for input position p, so a value owns
+the bits of its positions.  The depth-first search then works on Python
+ints only, bounds a subtree by the bit count of the positions that can
+still join, and reads the witness off the set bits of the best mask.
+It is intended for short sequences; above the size cap it refuses, and
+callers such as the counterexample search report the window extraction
+alone.
 """
 
 from __future__ import annotations
@@ -138,40 +139,55 @@ def is_sum_free(values, add: AddFn = operator.add) -> bool:
     return True
 
 
-def _distinct_in_order(values: Sequence) -> tuple[list, dict]:
-    """Distinct values by first occurrence, plus value -> positions map."""
-    order: list = []
-    positions: dict = {}
-    for i, v in enumerate(values):
-        if v not in positions:
-            positions[v] = []
-            order.append(v)
-        positions[v].append(i)
-    return order, positions
+def max_sum_free(values: Sequence, add: AddFn = operator.add) -> SumFreeWitness:
+    """Exact maximum sum-free subsequence; ties resolved to the
+    lexicographically smallest position list.  `add` must be commutative.
 
+    Bit p of every mask stands for position p; a value owns the bits of
+    its positions.  The sum of each pair of distinct values, and of each
+    value with itself, is computed once.  When a + b is a value c,
+    {a, b, c} may not be chosen whole: with three distinct values,
+    clash[a][b] gets c's bits, and likewise for the other two pairs; with
+    two (a + a = c, or a + b = a), each goes into the other's diagonal
+    entry; with one (a + a = a), the value is never available.
 
-def _conflict_masks(order: list, own: list[int], add: AddFn) -> tuple[list[list[int]], int]:
-    """Pairwise conflicts of the distinct values, as bitmasks.
+    The search is include-first over the values in first-occurrence
+    order: a node branches on the value i that owns the lowest bit of
+    `avail`, the positions that can still join those `taken`.  Including
+    i removes from `avail` its own bits, clash[i][i] and clash[i][u] for
+    every chosen u; excluding it, the next turn of the loop, removes only
+    its bits.  A node is cut when `taken` plus `avail` cannot strictly
+    beat the incumbent, and a node whose `avail` is empty is a leaf.
 
-    own[i] is the mask of value order[i].  Each sum order[i] + order[j],
-    i <= j, is computed once.  When it is a value order[k], the set
-    {i, j, k} may not be chosen whole.  Three distinct values: clash[i][j]
-    gets k's bits, and likewise for the other two pairs.  Two (a + a = c,
-    or a + b = a): each goes into the other's diagonal entry, so choosing
-    one blocks the other.  One (a + a = a): the value is dead.  Returns
-    (clash, dead).
+    Tie-break: the result is the first leaf, in the order of the search
+    with no cuts at all, that reaches the global maximum W.  Every leaf
+    reached before it has fewer positions than W, so on the way down to
+    it the incumbent stays below W while each ancestor's bound is at
+    least W: no ancestor is cut.  Only strict improvements replace the
+    incumbent, so later leaves of size W do not.  Any valid upper bound
+    gives the same witness; the first leaf has the lexicographically
+    smallest position list among the maxima.
     """
+    if len(values) > EXACT_SEARCH_LIMIT:
+        raise ExactSearchCapExceeded(
+            f"exact search limited to {EXACT_SEARCH_LIMIT} values, got {len(values)}"
+        )
+    index: dict = {}  # value -> its index in first-occurrence order
+    owner = [index.setdefault(v, len(index)) for v in values]  # by position
+    own = [0] * len(values)
+    for p, i in enumerate(owner):
+        own[i] |= 1 << p
+    order = list(index)
     q = len(order)
-    index = {v: k for k, v in enumerate(order)}
     clash = [[0] * q for _ in range(q)]
-    dead = 0
+    live = (1 << len(values)) - 1
     for i, a in enumerate(order):
         for j in range(i, q):
             k = index.get(add(a, order[j]))
             if k is None:
                 continue
             if i == j == k:
-                dead |= own[i]
+                live &= ~own[i]
             elif i == j or k == i or k == j:
                 x, y = (i, k) if i == j else (i, j)
                 clash[x][x] |= own[y]
@@ -183,72 +199,26 @@ def _conflict_masks(order: list, own: list[int], add: AddFn) -> tuple[list[list[
                 clash[k][i] |= own[j]
                 clash[j][k] |= own[i]
                 clash[k][j] |= own[i]
-    return clash, dead
-
-
-def _best_support(order: list, weight: list[int], add: AddFn) -> list[int]:
-    """Indices into `order` of the heaviest sum-free support, by an
-    include-first depth-first search in first-occurrence order.
-
-    A node holds the chosen values and `avail`, the bits of the values
-    after the last decision that can still join them.  Including value i
-    removes from `avail` its own bits, clash[i][i] and clash[i][u] for
-    every chosen u; excluding it removes only its bits.  A subtree is cut
-    when the chosen weight plus the bit count of `avail` cannot strictly
-    beat the incumbent, and a node whose `avail` is empty is a leaf.
-
-    Tie-break: the result is the first leaf, in the order of the search
-    with no cuts at all, that reaches the global maximum W.  Every leaf
-    reached before it weighs less than W, so on the way down to it the
-    incumbent stays below W while each ancestor's bound is at least W:
-    no ancestor is cut.  Only strict improvements replace the incumbent,
-    so later leaves of weight W do not.  Any valid upper bound gives the
-    same witness; the first leaf has the lexicographically smallest
-    position list among the maxima.
-    """
-    own: list[int] = []
-    value_of_bit: list[int] = []
-    for i, w in enumerate(weight):
-        own.append(((1 << w) - 1) << len(value_of_bit))
-        value_of_bit += [i] * w
-    clash, dead = _conflict_masks(order, own, add)
     chosen: list[int] = []
-    best: list[int] = []
-    best_weight = -1
+    best = 0
+    best_size = -1
 
-    def dfs(w: int, avail: int) -> None:
-        nonlocal best, best_weight
-        if w + avail.bit_count() <= best_weight:
-            return  # cannot strictly beat the incumbent
-        if not avail:
-            best_weight = w
-            best = list(chosen)
-            return
-        i = value_of_bit[(avail & -avail).bit_length() - 1]
-        rest = avail ^ own[i]
-        row = clash[i]
-        blocked = row[i]
-        for u in chosen:
-            blocked |= row[u]
-        chosen.append(i)
-        dfs(w + weight[i], rest & ~blocked)
-        chosen.pop()
-        dfs(w, rest)
+    def dfs(taken: int, avail: int) -> None:
+        nonlocal best, best_size
+        while (taken | avail).bit_count() > best_size:
+            if not avail:
+                best, best_size = taken, taken.bit_count()
+                return
+            i = owner[(avail & -avail).bit_length() - 1]
+            avail ^= own[i]
+            row = clash[i]
+            blocked = row[i]
+            for u in chosen:
+                blocked |= row[u]
+            chosen.append(i)
+            dfs(taken | own[i], avail & ~blocked)
+            chosen.pop()
 
-    dfs(0, ((1 << len(value_of_bit)) - 1) & ~dead)
-    return best
-
-
-def max_sum_free(values: Sequence, add: AddFn = operator.add) -> SumFreeWitness:
-    """Exact maximum sum-free subsequence; ties resolved to the
-    lexicographically smallest position list.  `add` must be commutative."""
-    if len(values) > EXACT_SEARCH_LIMIT:
-        raise ExactSearchCapExceeded(
-            f"exact search limited to {EXACT_SEARCH_LIMIT} values, got {len(values)}"
-        )
-    if not values:
-        return SumFreeWitness((), 0, True)
-    order, positions = _distinct_in_order(values)
-    best = _best_support(order, [len(positions[v]) for v in order], add)
-    indices = sorted(i for k in best for i in positions[order[k]])
-    return SumFreeWitness(tuple(indices), len(indices), True)
+    dfs(0, live)
+    indices = tuple(p for p in range(len(values)) if best >> p & 1)
+    return SumFreeWitness(indices, best_size, True)

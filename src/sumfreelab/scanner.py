@@ -127,6 +127,11 @@ class InequalityRow:
     passes: bool
 
 
+#: Largest modulus of the inequality sweep: its rows, held in a list and
+#: written as one CSV string, take about 5 s and 70 MiB there.
+INEQUALITY_MAX_N = 10_000
+
+
 def weighted_inequality_sweep(max_n: int) -> list[InequalityRow]:
     """Check 4/7 * r1 + 3/7 * r2 >= 2/7 for every modulus and divisor.
 
@@ -134,8 +139,10 @@ def weighted_inequality_sweep(max_n: int) -> list[InequalityRow]:
     This is the inequality that makes the 2/7 extraction bound work for
     arbitrary composition of gcd classes.
     """
-    if max_n < 2:
-        raise ValueError("max_n must be at least 2")
+    if not 2 <= max_n <= INEQUALITY_MAX_N:
+        raise ValueError(
+            f"max_n (--max-n on the command line) must be from 2 to {INEQUALITY_MAX_N}, not {max_n}"
+        )
     rows: list[InequalityRow] = []
     for n in range(2, max_n + 1):
         w1, w2 = scan_windows(n)[:2]

@@ -176,11 +176,12 @@ def test_search_raises_when_kernel_and_scan_disagree(monkeypatch, broken) -> Non
 
 def _small_group(data) -> GroupSpec:
     """Z_n^s with n from 2 to 13 and s from 1 to 3, small enough that its
-    hit table is within SEARCH_TABLE_CELLS."""
+    hit and sum tables, at the 40 entries these tests draw at most, are
+    within SEARCH_TABLE_BYTES."""
     s = data.draw(st.integers(1, 3), label="s")
     n = data.draw(st.integers(2, {1: 13, 2: 13, 3: 7}[s]), label="n")
     spec = GroupSpec(n, s)
-    assert (spec.size - 1) * 2 * spec.size <= adjmod.SEARCH_TABLE_CELLS
+    assert adjmod._table_bytes(spec, 40) <= adjmod.SEARCH_TABLE_BYTES
     return spec
 
 
@@ -351,12 +352,27 @@ def test_table_cap_sides_agree(monkeypatch, case, forced) -> None:
     # The oracle runs once per instance, in instance order, and only there.
     assert calls == instances and batched.oracle_checked == len(calls)
     calls.clear()
-    monkeypatch.setattr(adjmod, "SEARCH_TABLE_CELLS", 0)
+    monkeypatch.setattr(adjmod, "SEARCH_TABLE_BYTES", 0)
     monkeypatch.setattr(adjmod, "_hit_table", None)  # the per-instance path must not need it
     per_instance = counterexample_search(query)
     assert calls == instances and per_instance.oracle_checked == len(calls)
     assert per_instance == batched
     assert len(batched.findings) == (batched.instances if forced else 0)
+
+
+def test_z400_search_takes_the_table_path(monkeypatch) -> None:
+    # Exhaustive Z_400, m <= 2: 80 199 instances, whose per-instance
+    # scans took about 47 s while the table cap counted cells (2^18).
+    spec = GroupSpec(400, 1)
+    assert adjmod._table_bytes(spec, 2) <= adjmod.SEARCH_TABLE_BYTES
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("an instance was scanned on its own")
+
+    monkeypatch.setattr(adjmod, "extract_sum_free_group", no_scan)
+    res = counterexample_search(CounterexampleQuery(n=400, s=1, m=2, mode="exhaustive", budget=10**5))
+    assert res.instances == res.oracle_checked == 399 + 399 * 400 // 2
+    assert res.findings == ()
 
 
 def test_prime_case_frozen() -> None:

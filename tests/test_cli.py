@@ -270,31 +270,36 @@ def _limit_address_space() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (300 * 2**20, 300 * 2**20))
 
 
-def test_oversized_search_instance_refused_in_bounded_memory() -> None:
-    # One instance of 10^8 entries: an allocation sized by --m alone.  It
-    # must be refused before anything is drawn, under a 300 MiB address
-    # space limit set in the child only.  One BLAS thread keeps numpy's
-    # own reservations independent of the core count.
-    start = time.monotonic()
-    proc = run_cli(["search", "--n", "7", "--s", "1", "--m", str(10**8), "--mode", "random",
-                    "--budget", "1", "--seed", "1"], env={"OPENBLAS_NUM_THREADS": "1"},
-                   timeout=30, preexec_fn=_limit_address_space)
-    assert proc.returncode == 2, proc.stderr
-    assert "error:" in proc.stderr and "--m" in proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert time.monotonic() - start < 10
-
-
-def test_per_instance_search_work_refused_before_the_pool() -> None:
+# Argvs that size an allocation or a loop by one user number, each with
+# the flag its refusal names.  Each must be refused before any work,
+# under a 300 MiB address space limit set in the child only.
+_REFUSED = {
+    # One instance of 10^8 entries: an allocation sized by --m alone.
+    "search-m": (["search", "--n", "7", "--s", "1", "--m", str(10**8), "--mode", "random",
+                  "--budget", "1", "--seed", "1"], "--m"),
     # Z_10^6 has no hit table, so each of its 999 999 length-1 instances
     # would be scanned; listing them alone took 84 MiB.  Refused by scan
-    # work before the pool is built, under a 300 MiB address space.
+    # work before the pool is built.
+    "search-budget": (["search", "--n", "10", "--s", "6", "--m", "1", "--mode", "exhaustive",
+                       "--budget", "2000000"], "--budget"),
+    # One trial of up to 10^9 entries: a MemoryError after 4.6 s unrefused.
+    "prime-case-m-max": (["prime-case", "--p", "7", "--s", "1", "--trials", "1", "--seed", "1",
+                          "--m-max", str(10**9)], "--m-max"),
+    # Every row held in a list: 350 s and 580 MiB unrefused.
+    "inequality-max-n": (["inequality", "--max-n", str(10**5)], "--max-n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSED))
+def test_refused_in_bounded_memory(case) -> None:
+    # One BLAS thread keeps numpy's own reservations independent of the
+    # core count.
+    argv, flag = _REFUSED[case]
     start = time.monotonic()
-    proc = run_cli(["search", "--n", "10", "--s", "6", "--m", "1", "--mode", "exhaustive",
-                    "--budget", "2000000"], env={"OPENBLAS_NUM_THREADS": "1"},
-                   timeout=30, preexec_fn=_limit_address_space)
+    proc = run_cli(argv, env={"OPENBLAS_NUM_THREADS": "1"}, timeout=30,
+                   preexec_fn=_limit_address_space)
     assert proc.returncode == 2, proc.stderr
-    assert "error:" in proc.stderr and "--budget" in proc.stderr
+    assert "error:" in proc.stderr and flag in proc.stderr
     assert "Traceback" not in proc.stderr
     assert time.monotonic() - start < 10
 

@@ -1,5 +1,6 @@
 """Sum-free checks and the exact maximum search against brute force."""
 
+import hashlib
 import importlib
 import operator
 import random
@@ -238,6 +239,26 @@ def test_frozen_witnesses_at_benchmark_size() -> None:
         result = adjmod.counterexample_search(query)
     assert result.oracle_checked == 5
     assert seen == _Z12X2_WITNESSES
+
+
+# sha256 of the (size, indices) reprs, in instance order, of every
+# criterion-07 instance (exhaustive Z_7, m <= 6, then Z_8, m <= 5), as
+# the occurrence-bit search before the position-bit rewrite gave them.
+_CRITERION_07_DIGEST = "fd6d7ab33721e8ac23f5d7441c17f4fb25a4e32e682d20d22a9b2468e56d7328"
+
+
+def test_frozen_witnesses_of_criterion_07() -> None:
+    digest = hashlib.sha256()
+    count = 0
+    for n, m in ((7, 6), (8, 5)):
+        spec = GroupSpec(n, 1)
+        add = adjmod._table_add(spec)
+        for elements in adjmod._exhaustive_instances(spec, m):
+            w = max_sum_free(list(elements), add=add)
+            digest.update(repr((w.size, w.indices)).encode())
+            count += 1
+    assert count == 923 + 791
+    assert digest.hexdigest() == _CRITERION_07_DIGEST
 
 
 def test_max_monotone_under_extension() -> None:
