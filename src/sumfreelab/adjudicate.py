@@ -12,24 +12,25 @@ A search scores instances over a per-group hit table H: row b - 1
 holds, for every window of scan_windows(n) and every multiplier x,
 whether x . b lies in the window.  An instance's largest column count,
 the sum of its entries' rows, is the size `extract_sum_free_group`
-extracts.  Exhaustive and random instances alike are drawn lazily and
-scored by one generator (`_table_chunks`), which sums gathered rows in
-chunks bounded both in counts and in entries.  Random instances are
-built a chunk at a time from the scanner's replay of the seeded
-random.Random (`_random_instances`), equal to drawing them with
+extracts.  An instance is a tuple of element indices (1..q-1, the
+index order of `GroupSpec.coords_of`) from draw to oracle; coordinate
+tuples are built only where a GroupSequence is: per-instance scans,
+`_evaluate` and H itself.  Exhaustive and random instances alike are
+drawn lazily and scored by one generator (`_table_chunks`), which sums
+gathered rows in chunks bounded both in counts and in entries.  Random
+instances are built a chunk at a time from the scanner's replay of the
+seeded random.Random (`_random_instances`), equal to drawing them with
 `GroupSpec.random_nonzero`.  H's dot products come from the scan core,
 and `verify_report` checks it as the scan of all nonzero elements.
 Groups above DEFAULT_SCAN_CAP elements, and instances of more than
 _CHUNK_CELLS coordinates, are refused before anything is drawn; groups
-whose tables would exceed SEARCH_TABLE_BYTES extract each instance
-instead, and are refused, before the exhaustive pool is listed, where
-instances times the group's size pass SEARCH_SCAN_CELLS.  Every
-instance then goes through one loop: the exact oracle for at most
-EXACT_SEARCH_LIMIT entries, in instance order, and, at or below 2m/7, a
-re-run through the verified path (`_evaluate`), which must agree.
-With the hit table, the oracle adds through a sum table of the group
-built once per search (`_table_add`); without it, through
-`GroupSpec.add`.
+whose H would exceed SEARCH_TABLE_BYTES extract each instance instead,
+and are refused, before anything is drawn, where instances times the
+group's size pass SEARCH_SCAN_CELLS.  Every instance then goes through
+one loop: the exact oracle for at most EXACT_SEARCH_LIMIT entries, in
+instance order, adding indices digit by digit (`_index_add`), and, at
+or below 2m/7, a re-run through the verified path (`_evaluate`), which
+must agree.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, groupby, islice
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -52,7 +53,7 @@ from .scanner import (
     GroupExtraction,
     ScanReport,
     _dots,
-    _randbelow_draws,
+    _randbelow_reader,
     _report,
     _tally,
     divisor_profile,
@@ -183,10 +184,9 @@ def _multiset_count(q: int, m: int, cap: float = math.inf) -> int:
     return total
 
 
-def _exhaustive_instances(spec: GroupSpec, m: int) -> Iterator[tuple[Element, ...]]:
-    pool = [spec.coords_of(i) for i in range(1, spec.size)]
+def _exhaustive_instances(spec: GroupSpec, m: int) -> Iterator[tuple[int, ...]]:
     for k in range(1, m + 1):
-        yield from combinations_with_replacement(pool, k)
+        yield from combinations_with_replacement(range(1, spec.size), k)
 
 
 def _at_or_below(size: int, m: int) -> bool:
@@ -195,17 +195,23 @@ def _at_or_below(size: int, m: int) -> bool:
     return 7 * size <= 2 * m
 
 
+def _sequence(spec: GroupSpec, indices: Iterable[int]) -> GroupSequence:
+    """The instance with element indices `indices` as coordinate tuples."""
+    return GroupSequence(spec, tuple(map(spec.coords_of, indices)))
+
+
 def _evaluate(
-    spec: GroupSpec, elements: tuple[Element, ...], witness: SumFreeWitness | None
+    spec: GroupSpec, indices: tuple[int, ...], witness: SumFreeWitness | None
 ) -> Finding:
     """An instance's Finding from the verified path (full scan, pullback,
     sum-free check) and the oracle's `witness`, None above
     EXACT_SEARCH_LIMIT entries."""
-    extraction = extract_sum_free_group(GroupSequence(spec, elements))
-    m = len(elements)
+    seq = _sequence(spec, indices)
+    extraction = extract_sum_free_group(seq)
+    m = len(seq)
     exact_size = None if witness is None else witness.size
     return Finding(
-        elements=elements,
+        elements=seq.elements,
         m=m,
         extraction_size=extraction.size,
         exact_max_size=exact_size,
@@ -214,8 +220,8 @@ def _evaluate(
     )
 
 
-#: Groups whose hit table and sum table (`_table_bytes`) would pass this
-#: many bytes extract each instance with a scan instead.
+#: Groups whose hit table (`_table_bytes`) would pass this many bytes
+#: extract each instance with a scan instead.
 SEARCH_TABLE_BYTES = 1 << 22
 
 #: Searches of those groups are refused when their instances times the
@@ -226,107 +232,92 @@ SEARCH_SCAN_CELLS = 1 << 25
 def _hit_table(spec: GroupSpec, m: int) -> np.ndarray:
     """H[b - 1, j * q + x] = [x . b lies in window j], for the q elements x
     and the nonzero elements b of Z_n^s, in the narrowest dtype holding m.
+    Filled a slice of rows at a time, each slice's int64 scratch in
+    `_dots` about _CHUNK_CELLS bytes, so the build peaks near H itself.
     Raises unless `verify_report` passes H as the scan of every b.
     """
     n, s, q = spec.n, spec.s, spec.size
-    seq = GroupSequence(spec, tuple(map(spec.coords_of, range(1, q))))
-    dots = _dots(np.array(seq.elements), 0, n, n)
-    windows = scan_windows(n)
-    table = np.concatenate([w.bitmap()[dots] for w in windows], axis=1)
-    table = table.astype(np.min_scalar_type(m))
-    hits = table.reshape(q - 1, len(windows), q)
+    seq = _sequence(spec, range(1, q))
+    b = np.array(seq.elements)
+    bitmaps = np.array([w.bitmap() for w in scan_windows(n)])
+    hits = np.empty((q - 1, len(bitmaps), q), dtype=np.min_scalar_type(m))
+    step = max(1, _CHUNK_CELLS // (8 * q))
+    for lo in range(0, q - 1, step):
+        hits[lo : lo + step] = bitmaps[:, _dots(b[lo : lo + step], 0, n, n)].swapaxes(0, 1)
     tallies = _tally(hits.sum(axis=0, dtype=np.int64), hits.sum(axis=2, dtype=np.int64).T, range(q))
     problems = verify_report(_report(seq, divisor_profile(seq), tallies), seq)
     if problems:
         raise RuntimeError(f"hit table of Z_{n}^{s}: {problems[0]} (of {len(problems)} problems)")
-    return table
+    return hits.reshape(q - 1, -1)
 
 
 def _table_bytes(spec: GroupSpec, m: int) -> int:
-    """Bytes of the hit table of Z_n^s for instances of up to m entries,
-    plus the 8-byte references of `_table_add`'s q^2 sums."""
+    """Bytes of the hit table of Z_n^s for instances of up to m entries."""
     q = spec.size
-    cells = (q - 1) * len(scan_windows(spec.n)) * q
-    return cells * np.min_scalar_type(m).itemsize + 8 * q * q
+    return (q - 1) * len(scan_windows(spec.n)) * q * np.min_scalar_type(m).itemsize
 
 
 def _random_instances(
     spec: GroupSpec, m: int, budget: int, seed: int | None
-) -> Iterator[tuple[Element, ...]]:
-    """`budget` seeded sequences of m nonzero elements, drawn lazily: the
-    tuples of `budget` loops of m `spec.random_nonzero(rng)` calls on
-    rng = random.Random(seed), built in numpy.
+) -> Iterator[tuple[int, ...]]:
+    """`budget` seeded sequences of m nonzero element indices, drawn
+    lazily: the indices of the tuples of `budget` loops of m
+    `spec.random_nonzero(rng)` calls on rng = random.Random(seed), built
+    in numpy.
 
     CPython's randrange(n) is _randbelow(n), and random_nonzero draws all
-    s coordinates again while every one is zero.  So the accepted draws
-    of `_randbelow_draws`, grouped in s-tuples with the all-zero tuples
-    dropped, are the elements, which group in m-tuples.  Each read is
-    sized from the elements still missing, and one chunk of at most
-    _CHUNK_CELLS // (m * s) instances is built at a time.
+    s coordinates again while every one is zero.  So the accepted
+    _randbelow(n) draws, grouped in s-tuples read as base-n indices with
+    the zero index dropped, are the elements, which group in m-tuples.
+    Each read takes s draws per element still missing, so whole tuples
+    are read and none is left over; indices are in the narrowest dtype
+    that holds q - 1 (Python ints from 2^64 elements on).  One chunk of
+    at most _CHUNK_CELLS // (m * s) instances is built at a time.
     """
     n, s = spec.n, spec.s
-    k = n.bit_length()
-    rng = random.Random(seed)
-    coords = np.empty(0, dtype=np.uint32)  # accepted, not yet a whole s-tuple
-
-    def nonzero(missing: int) -> np.ndarray:
-        # Accepted draws per element average s * 2^k n^(s-1) / (n^s - 1).
-        nonlocal coords
-        c = min(_CHUNK_CELLS, (missing * s * n ** (s - 1) << k) // (n**s - 1)) + 64
-        coords = np.concatenate([coords, _randbelow_draws(rng, n, c)])
-        whole = len(coords) - len(coords) % s
-        tuples, coords = coords[:whole].reshape(-1, s), coords[whole:]
-        return tuples[tuples.any(axis=1)].ravel()
-
+    take = _randbelow_reader(random.Random(seed), n)
+    places = np.array([n**d for d in reversed(range(s))], dtype=np.min_scalar_type(spec.size - 1))
     chunk = max(1, _CHUNK_CELLS // (m * s))
-    drawn = np.empty(0, dtype=np.uint32)  # coordinates of drawn elements
     for start in range(0, budget, chunk):
-        need = min(chunk, budget - start) * m * s
-        parts = [drawn]
+        need = min(chunk, budget - start) * m
+        parts: list[np.ndarray] = []
         while (have := sum(map(len, parts))) < need:
-            parts.append(nonzero((need - have) // s))
-        drawn = np.concatenate(parts)
-        flat = iter(drawn[:need].tolist())
-        drawn = drawn[need:]
-        # Consecutive s coordinates make an element, m elements an instance.
-        yield from zip(*[zip(*[flat] * s)] * m)
+            index = take((need - have) * s).reshape(-1, s).astype(places.dtype) @ places
+            parts.append(index[index != 0])
+        flat = iter(np.concatenate(parts).tolist())
+        yield from zip(*[flat] * m)
 
 
-def _table_add(spec: GroupSpec) -> Callable[[Element, Element], Element]:
-    """`spec.add` through a table: sums[i * q + j] is the element tuple
-    e_i + e_j, for the q elements e_i of Z_n^s in index order, found by
-    numpy index arithmetic and gathered as references to one of q tuples
-    (no Python int per sum); `_table_bytes` counts them."""
-    n, q = spec.n, spec.size
-    elements = np.fromiter(spec.elements(), dtype=object, count=q)
-    digits = np.arange(q)
-    index = np.zeros((q, q), dtype=np.intp)
-    for place in (n**d for d in range(spec.s)):
-        digit = digits // place % n
-        index += (digit[:, None] + digit) % n * place
-    sums = elements[index.ravel()].tolist()
-    row = {e: i * q for i, e in enumerate(elements)}
-    col = {e: i for i, e in enumerate(elements)}
-    return lambda a, b: sums[row[a] + col[b]]
+def _index_add(spec: GroupSpec) -> Callable[[int, int], int]:
+    """Addition of element indices of Z_n^s, digit by digit in base n:
+    (a + b) % n for the last digit, (a//p + b//p) % n * p for the digit
+    of each higher place p."""
+    n = spec.n
+    places = [n**d for d in range(1, spec.s)]
+
+    def add(a: int, b: int) -> int:
+        total = (a + b) % n
+        for p in places:
+            total += (a // p + b // p) % n * p
+        return total
+
+    return add
 
 
 def _table_chunks(
-    spec: GroupSpec, table: np.ndarray, instances: Iterator[tuple[Element, ...]]
-) -> Iterator[tuple[list[tuple[Element, ...]], np.ndarray]]:
+    table: np.ndarray, instances: Iterator[tuple[int, ...]]
+) -> Iterator[tuple[list[tuple[int, ...]], np.ndarray]]:
     """The instances, drawn lazily, with their extraction sizes: the
-    largest column of their entries' summed table rows.  A chunk holds
-    consecutive instances of one length k, at most
+    largest column of their entries' summed table rows (row = index - 1).
+    A chunk holds consecutive instances of one length k, at most
     _CHUNK_CELLS // (width + k) of them, so both its counts and its
     entries stay bounded."""
-    row = {spec.coords_of(i): i - 1 for i in range(1, spec.size)}
     width = table.shape[1]
     for k, same_length in groupby(instances, len):
         chunk = max(1, _CHUNK_CELLS // (width + k))
         while batch := list(islice(same_length, chunk)):
-            entries = (row[e] for elements in batch for e in elements)
-            rows = np.fromiter(entries, dtype=np.intp, count=len(batch) * k)
             counts = np.zeros((len(batch), width), dtype=table.dtype)
-            for col in rows.reshape(len(batch), k).T:
+            for col in np.array(batch, dtype=np.intp).T - 1:
                 counts += table[col]
             yield batch, counts.max(axis=1)
 
@@ -369,28 +360,26 @@ def counterexample_search(query: CounterexampleQuery) -> SearchResult:
     else:
         instances = _random_instances(spec, query.m, query.budget, query.seed)
     if per_instance:
-        add = spec.add
         chunks = (
-            ([e], np.array([extract_sum_free_group(GroupSequence(spec, e)).size]))
-            for e in instances
+            ([e], np.array([extract_sum_free_group(_sequence(spec, e)).size])) for e in instances
         )
     else:
-        add = _table_add(spec) if query.m <= EXACT_SEARCH_LIMIT else spec.add
-        chunks = _table_chunks(spec, _hit_table(spec, query.m), instances)
+        chunks = _table_chunks(_hit_table(spec, query.m), instances)
+    add = _index_add(spec)
     findings: list[Finding] = []
     checked = oracle_checked = 0
     for batch, sizes in chunks:
-        for elements, size in zip(batch, sizes.tolist()):
-            m = len(elements)
+        for indices, size in zip(batch, sizes.tolist()):
+            m = len(indices)
             exact = m <= EXACT_SEARCH_LIMIT
-            witness = max_sum_free(list(elements), add=add) if exact else None
+            witness = max_sum_free(list(indices), add=add) if exact else None
             checked += 1
             oracle_checked += exact
             if _at_or_below(size, m) or (witness is not None and _at_or_below(witness.size, m)):
-                f = _evaluate(spec, elements, witness)
+                f = _evaluate(spec, indices, witness)
                 if f.extraction_size != size:
                     raise RuntimeError(
-                        f"search size {size} of {elements} disagrees with the verified scan"
+                        f"search size {size} of {f.elements} disagrees with the verified scan"
                     )
                 findings.append(f)
 
@@ -429,9 +418,13 @@ class PrimeCaseReport:
     trial_results: tuple[PrimeCaseTrial, ...]
 
 
-#: Prime-case checks are refused when trials times m_max times the
-#: group's size pass this: at worst (Z_2, one trial) about 3 s and 150 MiB.
+#: Prime-case checks are refused when trials times (m_max times the
+#: group's size, plus PRIME_CASE_TRIAL_CELLS) pass this: at worst (Z_2,
+#: one trial) about 3 s and 150 MiB.
 PRIME_CASE_CELLS = 1 << 22
+
+#: A trial's fixed cost in scan cells: 0.32 ms (Z_2, m_max 1) at 0.7 us a cell.
+PRIME_CASE_TRIAL_CELLS = 1 << 9
 
 
 def prime_case_check(
@@ -450,11 +443,12 @@ def prime_case_check(
     if m_max < 1:
         raise ValueError(f"m_max (--m-max on the command line) must be at least 1, not {m_max}")
     spec = GroupSpec(p, s)
-    cells = trials * m_max * spec.size
+    cells = trials * (m_max * spec.size + PRIME_CASE_TRIAL_CELLS)
     if cells > PRIME_CASE_CELLS:
         raise ValueError(
-            f"prime-case of Z_{p}^{s}: --trials {trials} x --m-max {m_max} x {spec.size} "
-            f"multipliers is {cells} scan cells, above {PRIME_CASE_CELLS}"
+            f"prime-case of Z_{p}^{s}: --trials {trials} x (--m-max {m_max} x {spec.size} "
+            f"multipliers + {PRIME_CASE_TRIAL_CELLS} per trial) is {cells} scan cells, "
+            f"above {PRIME_CASE_CELLS}"
         )
     w1 = scan_windows(p)[0]
     ratio = Fraction(w1.size, p)

@@ -46,11 +46,11 @@ Its multipliers are exactly
 sorted(random.Random(seed).sample(...)).  `_draw_multipliers` reproduces
 them in numpy, replaying random.sample's set-branch rejections on the
 _randbelow draws that `_randbelow_draws` rebuilds from bulk getrandbits
-words of the seeded generator; random search instances in `adjudicate`
-come from the same reader.  It calls random.sample itself only where
-that takes its pool branch (a small population).  So the sampled bytes
-depend on CPython's random.sample and getrandbits algorithms, which
-tests compare against the numpy draw.
+words of the seeded generator, through `_randbelow_reader`, which also
+draws random search instances in `adjudicate`.  It calls random.sample
+itself only where that takes its pool branch (a small population).  So
+the sampled bytes depend on CPython's random.sample and getrandbits
+algorithms, which tests compare against the numpy draw.
 """
 
 from __future__ import annotations
@@ -606,8 +606,8 @@ def dots_fit_int64(width: int, base: int, n: int) -> bool:
     return width * (base - 1) * (n - 1) < 2**63
 
 
-#: Most draws per read in `_draw_multipliers`, so its scratch beyond the
-#: sample itself stays small.
+#: Most draws per read of a `_randbelow_reader`, so its scratch beyond
+#: what it returns stays small.
 _DRAW_CHUNK = 1 << 16
 
 
@@ -633,12 +633,31 @@ def _randbelow_draws(rng: random.Random, n: int, draws: int) -> np.ndarray:
     return r[r < n]
 
 
+def _randbelow_reader(rng: random.Random, n: int) -> Callable[[int], np.ndarray]:
+    """take(count): the next `count` accepted _randbelow(n) draws of rng,
+    in stream order, read by `_randbelow_draws` about count * 2^k / n
+    calls, and 64 more, at a time (at most _DRAW_CHUNK), the rest kept."""
+    k = n.bit_length()
+    left = np.empty(0, dtype=np.uint32 if k <= 32 else np.uint64)
+
+    def take(count: int) -> np.ndarray:
+        nonlocal left
+        parts = [left]
+        while (have := sum(map(len, parts))) < count:
+            parts.append(_randbelow_draws(rng, n, min(_DRAW_CHUNK, ((count - have) << k) // n + 64)))
+        drawn = np.concatenate(parts)
+        left = drawn[count:]
+        return drawn[:count]
+
+    return take
+
+
 def _draw_multipliers(size: int, count: int, seed: int) -> np.ndarray:
     """sorted(random.Random(seed).sample(range(1, size), count)) as int64.
 
     For a population too large for its pool branch, random.sample keeps
     the first `count` distinct values of _randbelow(size - 1), which
-    `_randbelow_draws` replays.  Each round takes as many draws as values
+    `_randbelow_reader` replays.  Each round takes as many draws as values
     are still missing, so every new value it finds is kept.  This follows
     CPython's random.sample algorithm; the pool branch keeps the Python
     call.
@@ -650,27 +669,11 @@ def _draw_multipliers(size: int, count: int, seed: int) -> np.ndarray:
     rng = random.Random(seed)
     if n <= pool:
         return np.array(sorted(rng.sample(range(1, size), count)), dtype=np.int64)
-    k = n.bit_length()
-
-    def below_n(missing: int) -> np.ndarray:
-        # About missing * 2^k / n draws, and 64 more, so one read usually
-        # finds what is missing; the stream is read in order whatever the
-        # read sizes.
-        draws = min(_DRAW_CHUNK, (missing << k) // n + 64)
-        return _randbelow_draws(rng, n, draws).astype(np.int64)
-
-    picked = left = np.empty(0, dtype=np.int64)
+    take = _randbelow_reader(rng, n)
+    picked = np.empty(0, dtype=np.int64)
     while len(picked) < count:
-        batch = np.empty(count - len(picked), dtype=np.int64)
-        got = 0
-        while got < len(batch):
-            if not len(left):
-                left = below_n(len(batch) - got)
-            take = min(len(left), len(batch) - got)
-            batch[got : got + take], left = left[:take], left[take:]
-            got += take
-        batch.sort()
-        batch = batch[np.r_[True, batch[1:] != batch[:-1]]]
+        batch = np.sort(take(count - len(picked)))
+        batch = batch[np.r_[True, batch[1:] != batch[:-1]]].astype(np.int64)
         if not len(picked):
             picked = batch
             continue

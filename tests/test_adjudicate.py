@@ -1,6 +1,7 @@
 """Adjudication records, counterexample search, prime-case checks."""
 
 import importlib
+import itertools
 import random
 import tracemalloc
 from fractions import Fraction
@@ -24,6 +25,7 @@ from sumfreelab.adjudicate import (
     prime_case_check,
 )
 from sumfreelab.groups import GroupSequence, GroupSpec
+from sumfreelab.jsonio import search_result_to_dict
 from sumfreelab.scanner import GroupExtraction, divisor_profile, extract_sum_free_group
 
 
@@ -176,8 +178,8 @@ def test_search_raises_when_kernel_and_scan_disagree(monkeypatch, broken) -> Non
 
 def _small_group(data) -> GroupSpec:
     """Z_n^s with n from 2 to 13 and s from 1 to 3, small enough that its
-    hit and sum tables, at the 40 entries these tests draw at most, are
-    within SEARCH_TABLE_BYTES."""
+    hit table, at the 40 entries these tests draw at most, is within
+    SEARCH_TABLE_BYTES."""
     s = data.draw(st.integers(1, 3), label="s")
     n = data.draw(st.integers(2, {1: 13, 2: 13, 3: 7}[s]), label="n")
     spec = GroupSpec(n, s)
@@ -186,7 +188,7 @@ def _small_group(data) -> GroupSpec:
 
 
 def _extract_size(spec, elements) -> int:
-    return extract_sum_free_group(GroupSequence(spec, elements)).size
+    return extract_sum_free_group(GroupSequence(spec, tuple(map(spec.coords_of, elements)))).size
 
 
 def _assert_chunks_bounded(chunks, width, cells) -> None:
@@ -206,7 +208,7 @@ def test_exhaustive_walk_matches_scans(data) -> None:
     cells = data.draw(st.sampled_from([1, 64, adjmod._CHUNK_CELLS]), label="chunk cells")
     table = adjmod._hit_table(spec, m)
     with mock.patch.object(adjmod, "_CHUNK_CELLS", cells):
-        chunks = list(adjmod._table_chunks(spec, table, adjmod._exhaustive_instances(spec, m)))
+        chunks = list(adjmod._table_chunks(table, adjmod._exhaustive_instances(spec, m)))
     _assert_chunks_bounded(chunks, table.shape[1], cells)
     walked = [elements for batch, _ in chunks for elements in batch]
     assert walked == list(adjmod._exhaustive_instances(spec, m))
@@ -219,15 +221,15 @@ def test_exhaustive_walk_matches_scans(data) -> None:
 def test_random_chunks_match_scans(data) -> None:
     spec = _small_group(data)
     # A small pool of entries, so instances repeat entries.
-    pool = data.draw(st.lists(st.integers(1, spec.size - 1).map(spec.coords_of),
-                              min_size=1, max_size=4), label="pool")
+    pool = data.draw(st.lists(st.integers(1, spec.size - 1), min_size=1, max_size=4),
+                     label="pool")
     m = data.draw(st.integers(1, 40), label="m")
     instances = data.draw(st.lists(st.lists(st.sampled_from(pool), min_size=m, max_size=m)
                                    .map(tuple), min_size=1, max_size=8), label="instances")
     cells = data.draw(st.sampled_from([1, 100, adjmod._CHUNK_CELLS]), label="chunk cells")
     table = adjmod._hit_table(spec, m)
     with mock.patch.object(adjmod, "_CHUNK_CELLS", cells):
-        chunks = list(adjmod._table_chunks(spec, table, iter(instances)))
+        chunks = list(adjmod._table_chunks(table, iter(instances)))
     _assert_chunks_bounded(chunks, table.shape[1], cells)
     assert [elements for batch, _ in chunks for elements in batch] == instances
     sizes = [size for _, batch_sizes in chunks for size in batch_sizes.tolist()]
@@ -242,7 +244,7 @@ def test_exhaustive_scorer_memory_bounded() -> None:
     tracemalloc.start()
     try:
         scored = sum(len(batch) for batch, _ in
-                     adjmod._table_chunks(spec, table, adjmod._exhaustive_instances(spec, m)))
+                     adjmod._table_chunks(table, adjmod._exhaustive_instances(spec, m)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -272,8 +274,8 @@ def test_random_instances_replay_the_python_draws(n, s, m, budget, seed, cells) 
     spec = GroupSpec(n, s, cap=n**s)
     with mock.patch.object(adjmod, "_CHUNK_CELLS", cells):
         drawn = list(adjmod._random_instances(spec, m, budget, seed))
-    assert drawn == _python_draws(spec, m, budget, seed)
-    assert all(type(c) is int for elements in drawn for e in elements for c in e)
+    assert [tuple(map(spec.coords_of, e)) for e in drawn] == _python_draws(spec, m, budget, seed)
+    assert all(type(i) is int for elements in drawn for i in elements)
 
 
 def test_random_instances_memory_bounded() -> None:
@@ -292,17 +294,19 @@ def test_random_instances_memory_bounded() -> None:
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
-def test_table_add_matches_spec_add(data) -> None:
+def test_index_add_matches_spec_add(data) -> None:
     spec = _small_group(data)
-    add = adjmod._table_add(spec)
-    elements = list(spec.elements())
-    assert all(add(a, b) == spec.add(a, b) for a in elements for b in elements)
+    add = adjmod._index_add(spec)
+    indices = range(spec.size)
+    assert all(spec.coords_of(add(a, b)) == spec.add(spec.coords_of(a), spec.coords_of(b))
+               for a in indices for b in indices)
     # A small pool of entries, so multisets repeat entries and clash.
-    pool = data.draw(st.lists(st.integers(1, spec.size - 1).map(spec.coords_of),
-                              min_size=1, max_size=8), label="pool")
+    pool = data.draw(st.lists(st.integers(1, spec.size - 1), min_size=1, max_size=8),
+                     label="pool")
     values = data.draw(st.lists(st.sampled_from(pool), max_size=adjmod.EXACT_SEARCH_LIMIT),
                        label="values")
-    assert adjmod.max_sum_free(values, add=add) == adjmod.max_sum_free(values, add=spec.add)
+    coords = [spec.coords_of(v) for v in values]
+    assert adjmod.max_sum_free(values, add=add) == adjmod.max_sum_free(coords, add=spec.add)
 
 
 def test_hit_table_rows_checked(monkeypatch) -> None:
@@ -320,6 +324,54 @@ def test_hit_table_rows_checked(monkeypatch) -> None:
     monkeypatch.setattr(groups_mod.Window, "bitmap", lambda self: shifted)
     with pytest.raises(RuntimeError, match="zero multiplier shows"):
         adjmod._hit_table(GroupSpec(7, 1), 3)
+
+
+@pytest.mark.parametrize("n, m, largest", [(647, 2, False), (1448, 255, True), (1024, 256, True)])
+def test_hit_table_memory_bounded(n, m, largest) -> None:
+    # Built at once, the Z_647 table peaked at 6.42 MiB for the 0.80 MiB it
+    # keeps, nearly all of it the int64 terms of `_dots`; Z_1448 and Z_1024,
+    # the largest rank-1 table groups below and from m = 256, would peak
+    # at 32 MiB.
+    spec = GroupSpec(n, 1)
+    assert adjmod._table_bytes(spec, m) <= adjmod.SEARCH_TABLE_BYTES
+    if largest:
+        assert adjmod._table_bytes(GroupSpec(n + 1, 1), m) > adjmod.SEARCH_TABLE_BYTES
+    tracemalloc.start()
+    try:
+        table = adjmod._hit_table(spec, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.nbytes == adjmod._table_bytes(spec, m)
+    assert peak <= table.nbytes + 2 * 2**20
+
+
+_WIRE_CASES = {
+    "z3x2-random": CounterexampleQuery(n=3, s=2, m=4, mode="random", budget=12, seed=5),
+    "z7-exhaustive": CounterexampleQuery(n=7, s=1, m=3, mode="exhaustive", budget=10**4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WIRE_CASES))
+def test_findings_keep_their_wire_format(monkeypatch, case) -> None:
+    # No golden search has a finding, so force every instance to be one:
+    # each must list its entries' coordinates, ordered by (m, elements).
+    query = _WIRE_CASES[case]
+    monkeypatch.setattr(adjmod, "_at_or_below", lambda size, m: True)
+    spec = GroupSpec(query.n, query.s)
+    if query.mode == "random":
+        rng = random.Random(query.seed)
+        instances = [tuple(spec.random_nonzero(rng) for _ in range(query.m))
+                     for _ in range(query.budget)]
+    else:
+        pool = [(v,) for v in range(1, query.n)]
+        instances = [elements for k in range(1, query.m + 1)
+                     for elements in itertools.combinations_with_replacement(pool, k)]
+    instances.sort(key=lambda elements: (len(elements), elements))
+    findings = search_result_to_dict(counterexample_search(query))["findings"]
+    assert [f["elements"] for f in findings] == [[list(e) for e in elements]
+                                                  for elements in instances]
+    assert [f["m"] for f in findings] == [len(elements) for elements in instances]
 
 
 _CAP_CASES = {

@@ -24,9 +24,10 @@ from sumfreelab.scanner import DEFAULT_SCAN_CAP, InequalityRow
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_cli(args, env=None, timeout=60, preexec_fn=None):
+def run_cli(args, env=None, timeout=60, preexec_fn=None, input=None):
     """The CLI in a fresh interpreter, with this checkout's package first;
-    env entries set to None are removed from the environment."""
+    env entries set to None are removed from the environment, and `input`,
+    if given, is its stdin."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     environ = {**os.environ, **(env or {}), "PYTHONPATH": path}
     return subprocess.run(
@@ -36,6 +37,7 @@ def run_cli(args, env=None, timeout=60, preexec_fn=None):
         text=True,
         timeout=timeout,
         preexec_fn=preexec_fn,
+        input=input,
     )
 
 
@@ -271,22 +273,39 @@ def _limit_address_space() -> None:
 
 
 # Argvs that size an allocation or a loop by one user number, each with
-# the flag its refusal names.  Each must be refused before any work,
-# under a 300 MiB address space limit set in the child only.
+# a substring of its refusal message (the flag it names, where it names
+# one) and the text it reads on stdin, if any.  Each must be refused
+# before any work, under a 300 MiB address space limit set in the child
+# only.
 _REFUSED = {
     # One instance of 10^8 entries: an allocation sized by --m alone.
     "search-m": (["search", "--n", "7", "--s", "1", "--m", str(10**8), "--mode", "random",
-                  "--budget", "1", "--seed", "1"], "--m"),
+                  "--budget", "1", "--seed", "1"], "--m", None),
     # Z_10^6 has no hit table, so each of its 999 999 length-1 instances
     # would be scanned; listing them alone took 84 MiB.  Refused by scan
-    # work before the pool is built.
+    # work before any instance is drawn.
     "search-budget": (["search", "--n", "10", "--s", "6", "--m", "1", "--mode", "exhaustive",
-                       "--budget", "2000000"], "--budget"),
+                       "--budget", "2000000"], "--budget", None),
+    # Each length adds at least one multiset, so m = 10^8 passes the
+    # default budget before any count is summed.
+    "search-exhaustive-m": (["search", "--n", "2", "--s", "1", "--m", str(10**8),
+                             "--mode", "exhaustive"], "above the budget", None),
+    # 10^(10^8) elements: refused before n**s is built.
+    "search-rank": (["search", "--n", "10", "--s", str(10**8), "--m", "1",
+                     "--mode", "exhaustive"], "cardinality cap", None),
     # One trial of up to 10^9 entries: a MemoryError after 4.6 s unrefused.
     "prime-case-m-max": (["prime-case", "--p", "7", "--s", "1", "--trials", "1", "--seed", "1",
-                          "--m-max", str(10**9)], "--m-max"),
+                          "--m-max", str(10**9)], "--m-max", None),
+    # Two million trials of Z_2 at about 0.32 ms each: some 10 minutes.
+    "prime-case-trials": (["prime-case", "--p", "2", "--s", "1", "--trials", str(2 * 10**6),
+                           "--seed", "1", "--m-max", "1"], "--trials", None),
     # Every row held in a list: 350 s and 580 MiB unrefused.
-    "inequality-max-n": (["inequality", "--max-n", str(10**5)], "--max-n"),
+    "inequality-max-n": (["inequality", "--max-n", str(10**5)], "--max-n", None),
+    # p**s for s = 10^7 would have millions of digits.
+    "extremal-order": (["extremal", "7", str(10**7)], "2048-bit cap", None),
+    # A 5001-character integer line, refused before it is parsed.
+    "extract-integers-line": (["extract-integers", "-"], "5001 characters",
+                              "1\n2\n1" + "0" * 5000 + "\n"),
 }
 
 
@@ -294,12 +313,12 @@ _REFUSED = {
 def test_refused_in_bounded_memory(case) -> None:
     # One BLAS thread keeps numpy's own reservations independent of the
     # core count.
-    argv, flag = _REFUSED[case]
+    argv, needle, stdin = _REFUSED[case]
     start = time.monotonic()
     proc = run_cli(argv, env={"OPENBLAS_NUM_THREADS": "1"}, timeout=30,
-                   preexec_fn=_limit_address_space)
+                   preexec_fn=_limit_address_space, input=stdin)
     assert proc.returncode == 2, proc.stderr
-    assert "error:" in proc.stderr and flag in proc.stderr
+    assert "error:" in proc.stderr and needle in proc.stderr
     assert "Traceback" not in proc.stderr
     assert time.monotonic() - start < 10
 

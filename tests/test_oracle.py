@@ -252,7 +252,7 @@ def test_frozen_witnesses_of_criterion_07() -> None:
     count = 0
     for n, m in ((7, 6), (8, 5)):
         spec = GroupSpec(n, 1)
-        add = adjmod._table_add(spec)
+        add = adjmod._index_add(spec)
         for elements in adjmod._exhaustive_instances(spec, m):
             w = max_sum_free(list(elements), add=add)
             digest.update(repr((w.size, w.indices)).encode())
