@@ -28,7 +28,7 @@ whose H would exceed SEARCH_TABLE_BYTES extract each instance instead,
 and are refused, before anything is drawn, where instances times the
 group's size pass SEARCH_SCAN_CELLS.  Every instance then goes through
 one loop: the exact oracle for at most EXACT_SEARCH_LIMIT entries, in
-instance order, adding indices digit by digit (`_index_add`), and, at
+instance order, adding indices digit by digit (`groups.index_add`), and, at
 or below 2m/7, a re-run through the verified path (`_evaluate`), which
 must agree.
 """
@@ -40,11 +40,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, groupby, islice
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .groups import DivisorProfile, Element, GroupSequence, GroupSpec
+from .groups import DivisorProfile, Element, GroupSequence, GroupSpec, index_add
 from .oracle import EXACT_SEARCH_LIMIT, SumFreeWitness, max_sum_free
 from .primes import is_prime
 from .scanner import (
@@ -276,7 +276,7 @@ def _random_instances(
     """
     n, s = spec.n, spec.s
     take = _randbelow_reader(random.Random(seed), n)
-    places = np.array([n**d for d in reversed(range(s))], dtype=np.min_scalar_type(spec.size - 1))
+    places = np.array(spec.places, dtype=np.min_scalar_type(spec.size - 1))
     chunk = max(1, _CHUNK_CELLS // (m * s))
     for start in range(0, budget, chunk):
         need = min(chunk, budget - start) * m
@@ -286,22 +286,6 @@ def _random_instances(
             parts.append(index[index != 0])
         flat = iter(np.concatenate(parts).tolist())
         yield from zip(*[flat] * m)
-
-
-def _index_add(spec: GroupSpec) -> Callable[[int, int], int]:
-    """Addition of element indices of Z_n^s, digit by digit in base n:
-    (a + b) % n for the last digit, (a//p + b//p) % n * p for the digit
-    of each higher place p."""
-    n = spec.n
-    places = [n**d for d in range(1, spec.s)]
-
-    def add(a: int, b: int) -> int:
-        total = (a + b) % n
-        for p in places:
-            total += (a // p + b // p) % n * p
-        return total
-
-    return add
 
 
 def _table_chunks(
@@ -365,7 +349,7 @@ def counterexample_search(query: CounterexampleQuery) -> SearchResult:
         )
     else:
         chunks = _table_chunks(_hit_table(spec, query.m), instances)
-    add = _index_add(spec)
+    add = index_add(spec)
     findings: list[Finding] = []
     checked = oracle_checked = 0
     for batch, sizes in chunks:
@@ -419,12 +403,17 @@ class PrimeCaseReport:
 
 
 #: Prime-case checks are refused when trials times (m_max times the
-#: group's size, plus PRIME_CASE_TRIAL_CELLS) pass this: at worst (Z_2,
-#: one trial) about 3 s and 150 MiB.
+#: group's size plus PRIME_CASE_ENTRY_CELLS, plus PRIME_CASE_TRIAL_CELLS)
+#: pass this.  The slowest legal run measured, 7 913 trials of Z_2 at
+#: m_max 1, took 2.0-2.7 s; one trial of 232 855 entries of Z_2 peaked
+#: at 82 MiB.
 PRIME_CASE_CELLS = 1 << 22
 
 #: A trial's fixed cost in scan cells: 0.32 ms (Z_2, m_max 1) at 0.7 us a cell.
 PRIME_CASE_TRIAL_CELLS = 1 << 9
+
+#: An entry's cost in scan cells beyond its multipliers: 3 to 6 us at Z_2.
+PRIME_CASE_ENTRY_CELLS = 1 << 4
 
 
 def prime_case_check(
@@ -443,12 +432,12 @@ def prime_case_check(
     if m_max < 1:
         raise ValueError(f"m_max (--m-max on the command line) must be at least 1, not {m_max}")
     spec = GroupSpec(p, s)
-    cells = trials * (m_max * spec.size + PRIME_CASE_TRIAL_CELLS)
+    cells = trials * (m_max * (spec.size + PRIME_CASE_ENTRY_CELLS) + PRIME_CASE_TRIAL_CELLS)
     if cells > PRIME_CASE_CELLS:
         raise ValueError(
-            f"prime-case of Z_{p}^{s}: --trials {trials} x (--m-max {m_max} x {spec.size} "
-            f"multipliers + {PRIME_CASE_TRIAL_CELLS} per trial) is {cells} scan cells, "
-            f"above {PRIME_CASE_CELLS}"
+            f"prime-case of Z_{p}^{s}: --trials {trials} x (--m-max {m_max} x ({spec.size} "
+            f"multipliers + {PRIME_CASE_ENTRY_CELLS} per entry) + {PRIME_CASE_TRIAL_CELLS} "
+            f"per trial) is {cells} scan cells, above {PRIME_CASE_CELLS}"
         )
     w1 = scan_windows(p)[0]
     ratio = Fraction(w1.size, p)

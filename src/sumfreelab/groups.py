@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -19,6 +19,9 @@ import numpy as np
 DEFAULT_CARDINALITY_CAP = 10**8
 
 Element = tuple[int, ...]
+
+#: Element indices (`GroupSpec.coords_of` order): an int, or an int64 array.
+Index = int | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -44,6 +47,12 @@ class GroupSpec:
     @property
     def size(self) -> int:
         return self.n**self.s
+
+    @property
+    def places(self) -> tuple[int, ...]:
+        """The place value of each coordinate in an element's index, in
+        coordinate order: n^(s-1), ..., n, 1."""
+        return tuple(self.n**d for d in reversed(range(self.s)))
 
     def validate(self, el: Sequence[int]) -> Element:
         """Return el as a canonical tuple, rejecting out-of-range coordinates."""
@@ -94,6 +103,24 @@ class GroupSpec:
             t = tuple(rng.randrange(self.n) for _ in range(self.s))
             if any(t):
                 return t
+
+
+def index_add(spec: GroupSpec) -> Callable[[Index, Index], Index]:
+    """Addition of element indices of Z_n^s, digit by digit in base n:
+    (a + b) % n for the last digit, (a//p + b//p) % n * p for the digit
+    of each higher place p.  It adds Python ints, or int64 numpy arrays
+    elementwise (broadcasting), where no intermediate passes 2(q - 1)
+    for q = n^s: exact while q <= 2^62."""
+    n = spec.n
+    places = spec.places[:-1]
+
+    def add(a: Index, b: Index) -> Index:
+        total = (a + b) % n
+        for p in places:
+            total += (a // p + b // p) % n * p
+        return total
+
+    return add
 
 
 @dataclass(frozen=True)

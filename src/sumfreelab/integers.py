@@ -76,9 +76,12 @@ def row_hit_count(b: int, choice: PrimeChoice) -> int:
     """Count multipliers x in [1, p) with x*b mod p inside the target band.
 
     Computed by direct enumeration.  Always equals k + 1: as x runs over
-    the nonzero field elements, so does x*b.
+    the nonzero field elements, so does x*b.  Refused where the int64
+    products x*(b mod p) could wrap, that is (p - 1)^2 >= 2^63.
     """
     p, window = choice.p, choice.target_window()
+    if not dots_fit_int64(1, p, p):
+        raise ValueError(f"row hit count mod {p}: products up to (p - 1)^2 pass int64")
     r = b % p
     if r == 0:
         raise ValueError(f"{b} vanishes mod {p}")

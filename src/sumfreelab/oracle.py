@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .groups import GroupSpec
+from .groups import GroupSpec, index_add
 
 #: Hard ceiling on exact-search input length.
 EXACT_SEARCH_LIMIT = 24
@@ -47,26 +47,29 @@ class SumFreeWitness:
             raise ValueError("witness indices must be strictly increasing")
 
 
-#: Integers below this magnitude have every pairwise sum inside int64.
+#: Integers below this magnitude, and the element indices of groups of at
+#: most this many elements, have every pairwise sum inside int64.
 _INT64_SAFE = 1 << 62
 #: Side of the square tiles of pairwise sums tested at a time (2^18 cells).
 _SUM_TILE = 1 << 9
 
 
-def _ints_sum_free(vs: set[int]) -> bool:
-    """`is_sum_free` for plain integers of magnitude below 2^62, in numpy:
-    each tile a[i:i+T] + a[j:j+T], j >= i, of the sorted values is tested
-    for membership in a.  While a's range is at most 6 per sum in the
-    tile, `np.isin` does it through a lookup table over that range (a full
-    tile of 750 values below 1e5 in magnitude: 0.34 ms against 1.2 ms);
-    otherwise a binary search does, where `np.isin` would sort the tile
-    (16 ms).  Scratch memory stays near one tile either way."""
-    a = np.array(sorted(vs), dtype=np.int64)
+def _sum_free_keys(a: np.ndarray, add: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> bool:
+    """`is_sum_free` for distinct int64 keys `a`, in increasing order,
+    under `add`: `np.add` for integers of magnitude below 2^62, the
+    `index_add` of a group of at most 2^62 elements for its element
+    indices.  Each tile add(a[i:i+T, None], a[j:j+T]), j >= i, of
+    pairwise sums is tested for membership in a.  While a's range is at
+    most 6 per sum in the tile, `np.isin` does it through a lookup table
+    over that range (a full tile of 750 values below 1e5 in magnitude:
+    0.34 ms against 1.2 ms); otherwise a binary search does, where
+    `np.isin` would sort the tile (16 ms).  Scratch memory stays near a
+    few tiles either way."""
     last = a.size - 1
     for i in range(0, a.size, _SUM_TILE):
         rows = a[i : i + _SUM_TILE, None]
         for j in range(i, a.size, _SUM_TILE):
-            sums = rows + a[j : j + _SUM_TILE]
+            sums = add(rows, a[j : j + _SUM_TILE])
             if a[last] - a[0] <= 6 * sums.size:
                 hit = np.isin(sums, a, kind="table")
             else:
@@ -85,53 +88,28 @@ def _valid_elements(vs: set, spec: GroupSpec) -> bool:
     )
 
 
-def _group_sum_free(vs: set, spec: GroupSpec) -> bool:
-    """`is_sum_free` for elements of Z_n^s whose indices fit int64, in
-    numpy: the elements go in index order, and each tile of pairwise
-    sums, a[i:i+R] + a[j:j+T] with j >= i, is formed coordinatewise mod
-    n as indices, which a binary search looks up among the elements'."""
-    n = spec.n
-    coords = np.array(sorted(vs), dtype=np.int64).reshape(len(vs), spec.s)
-    keys = np.zeros(len(vs), dtype=np.int64)
-    for column in coords.T:
-        keys = keys * n + column
-    last = len(keys) - 1
-    # Fewer rows per tile at higher rank keep a tile's coordinates near
-    # _SUM_TILE^2.
-    step = max(1, _SUM_TILE // spec.s)
-    for i in range(0, len(keys), step):
-        rows = coords[i : i + step, None]
-        for j in range(i, len(keys), _SUM_TILE):
-            sums = rows + coords[None, j : j + _SUM_TILE]
-            sums[sums >= n] -= n
-            index = np.zeros(sums.shape[:2], dtype=np.int64)
-            for k in range(spec.s):
-                index *= n
-                index += sums[:, :, k]
-            if (keys[np.minimum(np.searchsorted(keys, index), last)] == index).any():
-                return False
-    return True
-
-
 def is_sum_free(values, add: AddFn = operator.add) -> bool:
     """True when no a1 + a2 with a1, a2 in values (a1 = a2 allowed) is in values.
 
     Works on any hashable values given a matching addition; defaults to
     integer addition.  Note a set containing 0 is never sum-free.
-    Integers of magnitude below 2^62, and valid elements of a GroupSpec
-    of fewer than 2^63 elements under its own `add`, are checked in numpy.
+    Integers of magnitude below 2^62 are checked in numpy as they are;
+    valid elements of a GroupSpec of at most 2^62 elements, under its
+    own `add`, as their indices under `index_add`.
     """
     vs = set(values)
     if add is operator.add and all(type(v) is int and -_INT64_SAFE < v < _INT64_SAFE for v in vs):
-        return _ints_sum_free(vs)
+        return _sum_free_keys(np.array(sorted(vs), dtype=np.int64), np.add)
     spec = getattr(add, "__self__", None)
     if (
         type(spec) is GroupSpec
         and getattr(add, "__func__", None) is GroupSpec.add
-        and spec.size < 2**63
+        and spec.size <= _INT64_SAFE
         and _valid_elements(vs, spec)
     ):
-        return _group_sum_free(vs, spec)
+        # Tuples sort in index order, so the indices come out increasing.
+        coords = np.array(sorted(vs), dtype=np.int64).reshape(len(vs), spec.s)
+        return _sum_free_keys(coords @ np.array(spec.places, dtype=np.int64), index_add(spec))
     for a in vs:
         for b in vs:
             if add(a, b) in vs:

@@ -24,7 +24,7 @@ from sumfreelab.adjudicate import (
     divisor_range_bound_limit,
     prime_case_check,
 )
-from sumfreelab.groups import GroupSequence, GroupSpec
+from sumfreelab.groups import GroupSequence, GroupSpec, index_add
 from sumfreelab.jsonio import search_result_to_dict
 from sumfreelab.scanner import GroupExtraction, divisor_profile, extract_sum_free_group
 
@@ -296,10 +296,15 @@ def test_random_instances_memory_bounded() -> None:
 @given(st.data())
 def test_index_add_matches_spec_add(data) -> None:
     spec = _small_group(data)
-    add = adjmod._index_add(spec)
+    add = index_add(spec)
     indices = range(spec.size)
-    assert all(spec.coords_of(add(a, b)) == spec.add(spec.coords_of(a), spec.coords_of(b))
+    table = [[add(a, b) for b in indices] for a in indices]
+    assert all(spec.coords_of(table[a][b]) == spec.add(spec.coords_of(a), spec.coords_of(b))
                for a in indices for b in indices)
+    # Elementwise on int64 arrays, broadcast as the sum-free check tiles them.
+    grid = np.arange(spec.size, dtype=np.int64)
+    sums = add(grid[:, None], grid)
+    assert sums.dtype == np.int64 and sums.tolist() == table
     # A small pool of entries, so multisets repeat entries and clash.
     pool = data.draw(st.lists(st.integers(1, spec.size - 1), min_size=1, max_size=8),
                      label="pool")

@@ -299,6 +299,10 @@ _REFUSED = {
     # Two million trials of Z_2 at about 0.32 ms each: some 10 minutes.
     "prime-case-trials": (["prime-case", "--p", "2", "--s", "1", "--trials", str(2 * 10**6),
                            "--seed", "1", "--m-max", "1"], "--trials", None),
+    # 900 trials of Z_2 with up to 2000 entries each, about 3 us an
+    # entry: 5.3 s unrefused.
+    "prime-case-entries": (["prime-case", "--p", "2", "--s", "1", "--trials", "900",
+                            "--seed", "1", "--m-max", "2000"], "per entry", None),
     # Every row held in a list: 350 s and 580 MiB unrefused.
     "inequality-max-n": (["inequality", "--max-n", str(10**5)], "--max-n", None),
     # p**s for s = 10^7 would have millions of digits.

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import time
 import tracemalloc
 from unittest import mock
 
@@ -66,6 +67,17 @@ def test_row_hit_count_frozen() -> None:
     assert [row_hit_count(b, c) for b in (1, 2, 3)] == [4, 4, 4]
     with pytest.raises(ValueError):
         row_hit_count(22, c)
+
+
+def test_row_hit_count_refuses_wrapping_products_at_once() -> None:
+    # (p - 1)^2 passes 2^63: x * r % p would wrap and count wrong hits
+    # (10^6 of them for r = p - 3 in the first chunk, where 0 is exact).
+    p = 4_000_000_007
+    c = PrimeChoice(p, (p - 2) // 3, 0)
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=str(p)):
+        row_hit_count(p - 3, c)
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_row_hit_count_always_k_plus_1() -> None:

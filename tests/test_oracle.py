@@ -6,13 +6,14 @@ import operator
 import random
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import naive
 import sumfreelab.oracle as oracle
-from sumfreelab.groups import GroupSpec
+from sumfreelab.groups import GroupSpec, index_add
 from sumfreelab.oracle import (
     EXACT_SEARCH_LIMIT,
     ExactSearchCapExceeded,
@@ -64,22 +65,25 @@ def test_is_sum_free_matches_naive_at_int64_edges(values, tile) -> None:
 
 def test_is_sum_free_integer_routing() -> None:
     odd = set(range(1, 2002, 2))  # odd + odd is even: sum-free, over several tiles
-    with mock.patch.object(oracle, "_ints_sum_free", wraps=oracle._ints_sum_free) as fast:
+    with mock.patch.object(oracle, "_sum_free_keys", wraps=oracle._sum_free_keys) as fast:
         assert is_sum_free(odd)
         assert not is_sum_free(odd | {2000})  # 1 + 1999, in different tiles
         assert not is_sum_free({2**62 - 1, -(2**62 - 1), 0})
-        assert fast.call_count == 3
+        assert [c.args[1] for c in fast.call_args_list] == [np.add] * 3
         assert not is_sum_free({2**62, 2**63})  # beyond int64 sums: Python loop
         assert is_sum_free({2**62, 1})
         assert not is_sum_free({True, 2})  # bools are not plain ints: Python loop
-        assert not is_sum_free([(2,), (3,), (4,)], add=GroupSpec(7, 1).add)
         assert fast.call_count == 3
+        assert not is_sum_free([(2,), (3,), (4,)], add=GroupSpec(7, 1).add)
+        # The group's elements go in as indices, under their own addition.
+        assert fast.call_args.args[0].tolist() == [2, 3, 4]
+        assert [c.args[1] is np.add for c in fast.call_args_list] == [True] * 3 + [False]
 
 
 @st.composite
 def _group_values(draw):
     n = draw(st.integers(2, 12))
-    s = draw(st.integers(1, 4))
+    s = draw(st.integers(1, 6))
     spec = GroupSpec(n, s)
     element = st.tuples(*[st.integers(0, n - 1)] * s)
     values = draw(st.lists(element, max_size=10))
@@ -96,27 +100,47 @@ def _group_values(draw):
 @settings(max_examples=300, deadline=None)
 @given(_group_values(), st.sampled_from([1, 2, 3, oracle._SUM_TILE]))
 def test_group_sum_free_matches_naive(spec_values, tile) -> None:
-    # Elements of Z_n^s under GroupSpec.add take the numpy path; small
-    # tiles make every tile boundary occur.
+    # Elements of Z_n^s under GroupSpec.add take the numpy path, as
+    # indices; small tiles make every tile boundary occur.
     spec, values = spec_values
     with mock.patch.object(oracle, "_SUM_TILE", tile), mock.patch.object(
-        oracle, "_group_sum_free", wraps=oracle._group_sum_free
+        oracle, "_sum_free_keys", wraps=oracle._sum_free_keys
     ) as fast:
         assert is_sum_free(values, add=spec.add) == naive.sum_free(set(values), add=spec.add)
         assert fast.call_count == 1
+        assert fast.call_args.args[1] is not np.add
 
 
 def test_group_sum_free_routing() -> None:
     spec = GroupSpec(7, 2)
-    with mock.patch.object(oracle, "_group_sum_free", wraps=oracle._group_sum_free) as fast:
+    with mock.patch.object(oracle, "_sum_free_keys", wraps=oracle._sum_free_keys) as fast:
         assert not is_sum_free([(1, 2), (2, 4)], add=spec.add)
         assert fast.call_count == 1
+        assert fast.call_args.args[0].tolist() == [9, 18]  # indices 7a + b
+        assert fast.call_args.args[1] is not np.add
         # Another addition, or values that are not elements, keep the loop.
         assert not is_sum_free([(1, 2), (2, 4)], add=lambda a, b: spec.add(a, b))
         assert is_sum_free([(1, 9), (3, 4)], add=spec.add)
         assert fast.call_count == 1
     with pytest.raises(ValueError, match="rank mismatch"):
         is_sum_free([(1, 2), (1,)], add=spec.add)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(2, 62), (5, 27)]), st.data())
+def test_group_sum_free_at_the_int64_edge(ns, data) -> None:
+    # Z_2^62 has exactly 2^62 elements, the most the numpy path takes:
+    # twice its largest index, always a value here, is 2^63 - 2.  Z_5^27,
+    # between 2^62 and 2^63, keeps the Python loop.
+    n, s = ns
+    spec = GroupSpec(n, s, cap=2**63)
+    digit = st.sampled_from([0, 1, n - 1])
+    values = [(n - 1,) * s] + data.draw(st.lists(st.tuples(*[digit] * s), max_size=8))
+    if data.draw(st.booleans()):
+        values.append(spec.add(values[0], values[-1]))
+    with mock.patch.object(oracle, "_sum_free_keys", wraps=oracle._sum_free_keys) as fast:
+        assert is_sum_free(values, add=spec.add) == naive.sum_free(set(values), add=spec.add)
+        assert fast.call_count == (spec.size <= 2**62)
 
 
 def test_max_sum_free_frozen() -> None:
@@ -252,7 +276,7 @@ def test_frozen_witnesses_of_criterion_07() -> None:
     count = 0
     for n, m in ((7, 6), (8, 5)):
         spec = GroupSpec(n, 1)
-        add = adjmod._index_add(spec)
+        add = index_add(spec)
         for elements in adjmod._exhaustive_instances(spec, m):
             w = max_sum_free(list(elements), add=add)
             digest.update(repr((w.size, w.indices)).encode())
